@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import lambertw
 
 from .errors import AccuracyError, DomainError
 
@@ -319,16 +320,12 @@ def _bisect_double_root(h, slope, tol):
 def h_star(slope_kappa: float) -> float:
     """Delay threshold: the unique h with |slope_kappa| * h * e^(h+1) = 1.
 
-    The left side increases from 0, so plain bracketing plus Brent suffices.
+    In closed form h = W0(1 / (|slope_kappa| e)), W0 the principal branch
+    of the Lambert W function.
     """
     if not slope_kappa < 0.0:
         raise DomainError("slope_kappa must be negative")
-    a = abs(slope_kappa)
-    f = lambda hh: a * hh * np.exp(hh + 1.0) - 1.0
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return brentq(f, 1e-12, hi, xtol=1e-15, rtol=_RTOL)
+    return float(lambertw(1.0 / (abs(slope_kappa) * np.e)).real)
 
 
 def c_kappa_curve(h: float, params: ModelParams) -> float:

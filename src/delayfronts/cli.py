@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, chareq, kernels, pdesim, speedcurves, toyfront
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
+from .speedcurves import _fmt
 
 
 class UsageError(Exception):
@@ -28,18 +29,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 3, not argparse's default 2
         raise UsageError(message)
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        if np.isinf(x):
-            return "inf"
-        return f"{x:.6g}"
-    return str(x)
 
 
 def _print_kv(pairs) -> None:
@@ -167,8 +156,7 @@ def _cmd_kernel(args) -> int:
     man = _Manifest("kernel", vars(args), args.out)
     psi = kernels.psi_kernel(args.c, args.h, params, t_max=args.t_max,
                              step=args.step)
-    nker = kernels.N_kernel(args.c, args.h, params, t_max=args.t_max,
-                            step=args.step)
+    nker = kernels._convolve_theta(psi, params)
     theta_vals = kernels.theta_kernel(nker.t, psi.mu2)
     for name, grid_t, grid_v in (
         ("psi.csv", psi.t, psi.values),
@@ -312,30 +300,19 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(fn=_cmd_table)
-    option_table = {
-        name: set(sp._option_string_actions) for name, sp in sub.choices.items()
-    }
-    return parser, option_table
+    return parser, sub.choices
 
 
-def _apply_config(argv: list[str], option_table: dict) -> list[str]:
-    """Turn config-file entries into trailing flags the user did not give.
+def _apply_config(path: Path, commands: dict) -> None:
+    """Make config-file entries the defaults of the options they name.
 
-    Precedence is flags > file > parser defaults, so entries already present
-    on the command line are skipped; boolean entries append the bare flag
-    when true.
+    An entry key = value fills --key (underscores read as dashes) in every
+    subcommand that has it, so flags given on the command line, in any
+    spelling, still win over the file, and argparse converts the string
+    through the option's type.  Switches take true or false.
     """
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = Path(argv[i + 1])
-    argv = argv[:i] + argv[i + 2 :]
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    command = next((a for a in argv if not a.startswith("-")), None)
-    known = option_table.get(command, set())
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -344,21 +321,29 @@ def _apply_config(argv: list[str], option_table: dict) -> list[str]:
             raise UsageError(f"config line is not key=value: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if flag not in known or flag in argv:
-            continue
-        if val.lower() in ("true", "false"):
-            if val.lower() == "true":
-                argv.append(flag)
-        else:
-            argv.extend([flag, val])
-    return argv
+        for sp in commands.values():
+            action = sp._option_string_actions.get(flag)
+            if action is None:
+                continue
+            if action.nargs == 0:
+                if val.lower() not in ("true", "false"):
+                    raise UsageError(f"config entry {key} must be true or false")
+                action.default = val.lower() == "true"
+            else:
+                action.default = val
+            action.required = False
 
 
 def main(argv=None) -> int:
-    parser, option_table = _build_parser()
+    parser, commands = _build_parser()
     try:
         argv = list(sys.argv[1:] if argv is None else argv)
-        argv = _apply_config(argv, option_table)
+        # --config is honoured anywhere on the line, before the full parse
+        pre = _Parser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        known, argv = pre.parse_known_args(argv)
+        if known.config is not None:
+            _apply_config(Path(known.config), commands)
         args = parser.parse_args(argv)
         if args.seed is not None:
             raise UsageError("--seed is not accepted: every command is deterministic")

@@ -28,7 +28,7 @@ from scipy.signal import fftconvolve
 from . import chareq
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
-from .toyfront import birth_rate
+from .toyfront import _delay_rk4, birth_rate
 
 __all__ = [
     "KernelGrid",
@@ -64,10 +64,6 @@ class KernelGrid:
     mu1: float
     mu2: float
     mu3: float | None
-
-    @property
-    def t_min(self) -> float:
-        return float(self.t[0])
 
     @property
     def t_max(self) -> float:
@@ -145,65 +141,32 @@ def psi_kernel(
     n_pos = max(int(np.ceil(T_pos / dt)), 2)
     n_neg = int(np.ceil(_SUPPORT_DECADES / mu1 / dt))
 
-    y = np.empty(n_pos + 1)
-    f = np.empty(n_pos + 1)
-    y[0] = psi0
     iv = amp * (1.0 - np.exp(-(mu1 - mu2) * ch)) / (mu1 - mu2)
-
-    def delayed(i, frac):
-        # y(t - ch) at stage time (i + frac) dt.  j < 0 covers both s < 0 and
-        # the left limit at s = 0 (the k4 stage of the step ending at ch);
-        # the k1 stage of the step starting at ch has j = 0 and reads the
-        # post-jump value y[0].
-        j = i - m
-        if j < 0:
-            return amp * np.exp(mu1 * (j + frac) * dt)
-        if frac <= 0.0:
-            return y[j]
-        if frac >= 1.0:
-            return y[j + 1]
-        th = frac
-        return (
-            (1.0 + 2.0 * th) * (1.0 - th) ** 2 * y[j]
-            + th * (1.0 - th) ** 2 * dt * f[j]
-            + th * th * (3.0 - 2.0 * th) * y[j + 1]
-            + th * th * (th - 1.0) * dt * f[j + 1]
-        )
-
-    def rhs(i, frac, yv, Iv):
-        return (
-            (c - mu2) * yv + beta * Iv,
-            mu2 * Iv + yv - decay * delayed(i, frac),
-        )
-
-    f[0] = rhs(0, 0.0, y[0], iv)[0]
-    yv, Iv = y[0], iv
     runmin, argmin = abs(psi0), 0
-    stop = n_pos
-    truncated = False
-    for i in range(n_pos):
-        k1 = rhs(i, 0.0, yv, Iv)
-        k2 = rhs(i, 0.5, yv + 0.5 * dt * k1[0], Iv + 0.5 * dt * k1[1])
-        k3 = rhs(i, 0.5, yv + 0.5 * dt * k2[0], Iv + 0.5 * dt * k2[1])
-        k4 = rhs(i, 1.0, yv + dt * k3[0], Iv + dt * k3[1])
-        yv += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        Iv += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        y[i + 1] = yv
-        f[i + 1] = rhs(i + 1, 0.0, yv, Iv)[0]
+    clean = None  # last sample still clear of the noise floor, once it is hit
+
+    def noise_floor(i, yv):
+        nonlocal runmin, argmin, clean
         a = abs(yv)
         if yv >= 0.0 or a > _NOISE_REBOUND * runmin:
-            stop = argmin  # last sample still clear of the noise floor
-            truncated = True
-            break
+            clean = argmin
+            return True
         if a < runmin:
-            runmin, argmin = a, i + 1
-    if truncated:
+            runmin, argmin = a, i
+        return False
+
+    # y' = (c - mu2) y + beta I, I' = mu2 I + y - decay y(t - ch); the closed
+    # form amp e^{mu1 s} is the history and y's left limit at s = 0
+    y, _ = _delay_rk4(
+        (c - mu2, beta, 1.0, mu2), 0.0, -decay, psi0, iv, dt, n_pos, m,
+        lambda x: amp * np.exp(mu1 * x * dt), noise_floor,
+    )
+    if clean is not None:
         margin = int(np.log(_ROLLBACK) / ((mu1 - mu3) * dt))
-        stop = max(2, stop - margin)
-    y = y[: stop + 1]
+        y = y[: max(2, clean - margin) + 1]
 
     t_neg = -dt * np.arange(n_neg, 0, -1)
-    t = np.concatenate([t_neg, dt * np.arange(stop + 1)])
+    t = np.concatenate([t_neg, dt * np.arange(len(y))])
     vals = np.concatenate([amp * np.exp(mu1 * t_neg), y])
     if np.any(vals >= 0.0):
         raise AccuracyError(
@@ -228,11 +191,15 @@ def N_kernel(
     convolution).  The trapezoid mass over the grid reproduces
     1/(g'(kappa)-1) to well inside 1e-4.
     """
-    psi = psi_kernel(c, h, params, t_max=t_max, step=step)
+    return _convolve_theta(psi_kernel(c, h, params, t_max=t_max, step=step), params)
+
+
+def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
+    """N = psi * theta from an existing psi grid (the body of N_kernel)."""
     dt, mu2 = psi.step, psi.mu2
     vals = psi.values
     n_neg = psi.index_of_zero()
-    if h > 0.0:
+    if psi.mu3 is not None:  # h > 0: complete the truncated forward tail
         mu3 = psi.mu3
         T0 = psi.t_max + dt
         a = vals[-1] / np.exp(mu3 * psi.t_max)

@@ -93,10 +93,6 @@ class SimState:
     prev_source: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
 
-    def matrix(self) -> np.ndarray:
-        """Dense copy of the implicit system matrix (for verification)."""
-        return _assemble(self.config).toarray()
-
 
 @dataclass
 class SimResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chareq
+from . import chareq, toyfront
 from .chareq import ModelParams, h_star
 from .errors import DomainError
 
@@ -82,15 +82,12 @@ def in_region_Dstar(h: float, c: float, slope_kappa: float, mu2: float) -> bool:
 
 
 def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
-    # imported here: toyfront depends on this module for h_star
-    from .toyfront import minimal_speed
-
     hs = h_star(params.slope_kappa)
     h_hat = 1.0 / abs(params.slope_kappa)
     c_sharp, _ = chareq.double_root_speed(h, params.slope_zero)
     c_kappa = chareq.c_kappa_curve(h, params) if h > hs else None
     c_bound = c_bound_curve(h, params.slope_kappa) if hs < h <= h_hat else None
-    c_star, regime = minimal_speed(h, params.slope_zero)
+    c_star, regime = toyfront.minimal_speed(h, params.slope_zero)
     monotone = h <= hs or (c_kappa is not None and c_star <= c_kappa)
     return SpeedCurveSample(
         h=h,
@@ -137,6 +134,7 @@ def sample_curves(h_grid, params: ModelParams, jobs: int = 1) -> list[SpeedCurve
 
 
 def _fmt(v) -> str:
+    """Six significant digits for floats; empty for None; true/false for bools."""
     if v is None:
         return ""
     if isinstance(v, bool):

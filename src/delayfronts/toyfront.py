@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import lambertw
 
 from . import chareq
 from .chareq import ModelParams, h_star
@@ -230,6 +231,57 @@ class WaveProfile:
         return out[()] if out.ndim == 0 else out
 
 
+def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history, halt=None):
+    """Method of steps for a delayed linear 2x2 system by classical RK4.
+
+    Integrates a' = p a + q b, b' = r b + s a + const + w a(t - m dt), with
+    (p, q, s, r) = coef, from (a0, b0) at t = 0 over n steps of dt; m = 0
+    means no delay (the last term reads a(t)).  While t - m dt < 0 the
+    delayed value is history(x) = a(x dt) for the step offset x <= 0; the
+    caller scales x by dt so that it fixes the rounding of its own history.
+    After that, a(t - m dt) is read from the stored nodes (a, a') by cubic
+    Hermite interpolation.  x = 0 is reached from the left (the k4 stage of
+    step m - 1 reads history(0)) and then from the right (the k1 stage of
+    step m reads node 0), so a jump of a at t = 0 is seen correctly.
+
+    halt(i, a_i), if given, is called after each step with the new node and
+    ends the integration there when it returns True.  Returns the node
+    values of a and a' (n + 1 of each, or up to the halting node).
+    """
+    # plain floats: the same IEEE arithmetic as numpy scalars, done faster
+    p, q, s, r = (float(x) for x in coef)
+    const, w, dt = float(const), float(w), float(dt)
+    av, bv = float(a0), float(b0)
+    a, da = [av], [p * av + q * bv]
+    half, sixth, herm = 0.5 * dt, dt / 6.0, 0.125 * dt
+    for i in range(n):
+        # delayed values at the start, the midpoint and the end of the step
+        j = i - m
+        if m and j < 0:
+            d1, d2, d4 = float(history(j)), float(history(j + 0.5)), float(history(j + 1))
+        elif m:
+            d1, d4 = a[j], a[j + 1]
+            d2 = 0.5 * d1 + herm * da[j] + 0.5 * d4 - herm * da[j + 1]
+        k1a = da[i]
+        k1b = r * bv + s * av + const + w * (av if m == 0 else d1)
+        a2, b2 = av + half * k1a, bv + half * k1b
+        k2a = p * a2 + q * b2
+        k2b = r * b2 + s * a2 + const + w * (a2 if m == 0 else d2)
+        a3, b3 = av + half * k2a, bv + half * k2b
+        k3a = p * a3 + q * b3
+        k3b = r * b3 + s * a3 + const + w * (a3 if m == 0 else d2)
+        a4, b4 = av + dt * k3a, bv + dt * k3b
+        k4a = p * a4 + q * b4
+        k4b = r * b4 + s * a4 + const + w * (a4 if m == 0 else d4)
+        av += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        bv += sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        a.append(av)
+        da.append(p * av + q * bv)
+        if halt is not None and halt(i + 1, av):
+            break
+    return np.array(a), np.array(da)
+
+
 def build_profile(
     c: float,
     h: float,
@@ -276,41 +328,11 @@ def build_profile(
             lam1 * (s + ch)
         )
 
-    phi = np.empty(n + 1)
-    v = np.empty(n + 1)
-    phi[0], v[0] = tail(0.0), tail_d(0.0)
-
-    def delayed(i, frac):
-        # phi(t - ch) at stage time (i + frac) dt; the profile is continuous,
-        # so no one-sided bookkeeping is needed, only index j >= 0 vs tail
-        j = i - m
-        if j < 0:
-            return tail((j + frac) * dt)
-        if frac <= 0.0:
-            return phi[j]
-        if frac >= 1.0:
-            return phi[j + 1]
-        th = frac
-        return (
-            (1.0 + 2.0 * th) * (1.0 - th) ** 2 * phi[j]
-            + th * (1.0 - th) ** 2 * dt * v[j]
-            + th * th * (3.0 - 2.0 * th) * phi[j + 1]
-            + th * th * (th - 1.0) * dt * v[j + 1]
-        )
-
-    def rhs(i, frac, ph, vv):
-        dly = ph if h == 0.0 else delayed(i, frac)
-        return vv, c * vv + ph - 4.0 + dly
-
-    pv, vv = phi[0], v[0]
-    for i in range(n):
-        k1 = rhs(i, 0.0, pv, vv)
-        k2 = rhs(i, 0.5, pv + 0.5 * dt * k1[0], vv + 0.5 * dt * k1[1])
-        k3 = rhs(i, 0.5, pv + 0.5 * dt * k2[0], vv + 0.5 * dt * k2[1])
-        k4 = rhs(i, 1.0, pv + dt * k3[0], vv + dt * k3[1])
-        pv += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        vv += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        phi[i + 1], v[i + 1] = pv, vv
+    # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
+    phi, v = _delay_rk4(
+        (0.0, 1.0, 1.0, c), -4.0, 1.0, tail(0.0), tail_d(0.0), dt, n, m,
+        lambda x: tail(x * dt),
+    )
     t = dt * np.arange(n + 1)
 
     residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)
@@ -438,17 +460,15 @@ def limit_quantities(k: float) -> LimitQuantities:
     if not 1.0 < k < 3.0:
         raise DomainError(f"k must lie in (1, 3), got {k}")
     rtol = 4 * _EPS
-    w_plus = brentq(
-        lambda w: np.exp(-w) * (2.0 + w) - 2.0 / k, 0.0, 50.0, xtol=1e-15, rtol=rtol
-    )
+    # e^{-w}(2 + w) = a  <=>  -(2 + w) e^{-(2 + w)} = -a / e^2: the positive
+    # w_plus on the W_{-1} branch, the w_minus below -2 on W0
+    w_plus = float(-2.0 - lambertw(-2.0 / (k * np.e**2), -1).real)
     rho = math.sqrt(w_plus * (2.0 + w_plus))
     lambda_inf = math.sqrt(1.0 + 1.0 / rho**2) - 1.0 / rho
     mu_inf = brentq(
         lambda mq: mq * mq - 1.0 - np.exp(-mq * rho), 1.0, 50.0, xtol=1e-15, rtol=rtol
     )
-    w_minus = brentq(
-        lambda w: np.exp(-w) * (2.0 + w) + 2.0, -50.0, -2.0, xtol=1e-15, rtol=rtol
-    )
+    w_minus = float(-2.0 - lambertw(2.0 / np.e**2).real)
     rho_hat = math.sqrt(w_minus * (2.0 + w_minus))
     mu_hat = brentq(
         lambda mq: mq * mq - 1.0 - np.exp(-mq * rho_hat),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from delayfronts import kernels
 from delayfronts.cli import main
 
 
@@ -95,6 +96,19 @@ class TestProfileKernelSimulate:
         values = [float(r.split(",")[1]) for r in psi_rows]
         assert max(values) < 0.0
 
+    def test_kernel_computes_psi_once(self, tmp_path, monkeypatch):
+        calls = []
+        psi_kernel = kernels.psi_kernel
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return psi_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "psi_kernel", counted)
+        args = ["kernel", "--k", "1.2", "--c", "0.5", "--h", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert len(calls) == 1
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "sim"
         args = ["simulate", "--k", "1.2", "--h", "0.5", "--t-end", "40",
@@ -133,6 +147,13 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "toy", "--h", "0.5"]) == 0
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["h"]) == 0.5
+
+    def test_equals_form_flag_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 1.5\n")
+        assert main(["--config", str(cfg), "toy", "--k=1.2", "--h", "0.5"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert float(kv["c_star"]) == pytest.approx(0.6562, abs=5e-4)
 
     def test_unknown_keys_are_ignored_for_other_commands(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -32,6 +32,16 @@ class TestHStar:
         assert hs == pytest.approx(0.27846, abs=1e-5)
         assert abs(hs * np.exp(hs + 1.0) - 1.0) < 1e-12
 
+    def test_lambert_w_matches_brent(self):
+        for s in (-1e-6, -0.05, -np.exp(-2.0), -0.3, -1.0, -2.5, -10.0):
+            a = abs(s)
+            f = lambda hh: a * hh * np.exp(hh + 1.0) - 1.0
+            hi = 1.0
+            while f(hi) < 0.0:
+                hi *= 2.0
+            oracle = brentq(f, 1e-12, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            assert abs(h_star(s) - oracle) < 1e-14
+
     def test_grows_as_slope_vanishes(self):
         assert h_star(-1e-6) > 8.0
 

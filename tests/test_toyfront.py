@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from delayfronts import (
     DomainError,
@@ -17,7 +18,7 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
 )
-from delayfronts.toyfront import fit_tail_exponent, junction_derivative
+from delayfronts.toyfront import _delay_rk4, fit_tail_exponent, junction_derivative
 
 
 class TestNondelayMinimalSpeed:
@@ -193,6 +194,47 @@ class TestJunctionDerivative:
             count += 1
 
 
+class TestDelayRK4:
+    def test_method_of_steps_polynomial_is_exact(self):
+        # a'' = w a(t - tau) with a = A on t <= 0 and a'(0) = B: quadratic on
+        # [0, tau], quartic on [tau, 2 tau].  RK4 integrates both exactly and
+        # the cubic-Hermite midpoint read reproduces the quadratic exactly.
+        w, A, B, tau, m = -0.7, 1.3, -0.4, 1.0, 8
+        dt = tau / m
+        a, da = _delay_rk4((0.0, 1.0, 0.0, 0.0), 0.0, w, A, B, dt, 2 * m, m,
+                           lambda x: A)
+        t = dt * np.arange(2 * m + 1)
+        first, u = t <= tau, t - tau
+        a1, b1 = A + B * tau + w * A * tau**2 / 2, B + w * A * tau
+        exact = np.where(
+            first,
+            A + B * t + w * A * t**2 / 2,
+            a1 + b1 * u + w * (A * u**2 / 2 + B * u**3 / 6 + w * A * u**4 / 24),
+        )
+        exact_d = np.where(
+            first,
+            B + w * A * t,
+            b1 + w * (A * u + B * u**2 / 2 + w * A * u**3 / 6),
+        )
+        np.testing.assert_allclose(a, exact, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(da, exact_d, rtol=0.0, atol=1e-12)
+
+    def test_no_delay_steps_by_the_degree_four_taylor_polynomial(self):
+        # m = 0: a'' = w a(t) plus damping; each RK4 step multiplies (a, b) by
+        # the degree-4 Taylor polynomial of e^{dt M} exactly
+        p, q, s, r, w, dt, n = 0.0, 1.0, 0.3, -0.5, -2.0, 0.05, 40
+        a, da = _delay_rk4((p, q, s, r), 0.0, w, 1.0, 0.2, dt, n, 0, None)
+        M = dt * np.array([[p, q], [s + w, r]])
+        R = np.eye(2) + M + M @ M / 2 + M @ M @ M / 6 + M @ M @ M @ M / 24
+        y = np.array([1.0, 0.2])
+        ref = [y[0]]
+        for _ in range(n):
+            y = R @ y
+            ref.append(y[0])
+        np.testing.assert_allclose(a, ref, rtol=0.0, atol=1e-12)
+        assert len(da) == n + 1
+
+
 class TestBuildProfile:
     def test_nondelayed_pushed_profile(self):
         c, _ = minimal_speed(0.0, 1.2)
@@ -284,6 +326,17 @@ class TestLimitQuantities:
                     abs(lq.lambda_hat_inf**2 - 1 + k * np.exp(-lq.rho_hat * lq.lambda_hat_inf))
                     < 1e-12
                 )
+
+    def test_lambert_w_closed_forms_match_brent(self):
+        rtol = 4 * np.finfo(float).eps
+        for k in (1.05, 1.2, 1.5, 2.0, 2.9):
+            lq = limit_quantities(k)
+            w_plus = brentq(lambda w: np.exp(-w) * (2 + w) - 2 / k, 0.0, 50.0,
+                            xtol=1e-15, rtol=rtol)
+            w_minus = brentq(lambda w: np.exp(-w) * (2 + w) + 2, -50.0, -2.0,
+                             xtol=1e-15, rtol=rtol)
+            assert abs(lq.w_plus - w_plus) < 1e-14
+            assert abs(lq.w_minus - w_minus) < 1e-14
 
     def test_hatted_branch_is_k_independent_where_shared(self):
         a, b = limit_quantities(1.2), limit_quantities(1.5)
