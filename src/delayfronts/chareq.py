@@ -15,14 +15,19 @@ state (s > 1), the three real roots at the positive state (s < 0), the
 double-root systems that define the critical speed curves, and a contour
 count certifying that no complex zero sneaks to the right of the real
 ones.
+
+The real turning points of chi are Lambert W closed forms (_critical_point).
+They bracket the real roots, decide whether those exist, and give the
+linear speed as the zero of chi at its minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from .errors import AccuracyError, DomainError
@@ -127,87 +132,66 @@ def _polish(z: float, c: float, h: float, slope: float) -> float:
     return z
 
 
+def _critical_point(c: float, tau: float, s: float, branch: int) -> float | None:
+    """A zero of chi' on the given Lambert W branch, in closed form.
+
+    chi'(z) = 2z - c - s tau e^{-z tau} = 0 with tau = c h and y = z - c/2
+    reads (tau y) e^{tau y} = X = s tau^2/2 e^{-c tau/2}, so
+    z = c/2 + W_branch(X)/tau.  Branch 0 with s > 0 is the minimum of
+    chi on the positive axis; branch -1 with s < 0 is its peak on the
+    left, which exists only for X >= -1/e (None otherwise).  When X
+    underflows, W_{-1} comes from L = ln|X| by Newton on w + ln(-w) = L.
+    """
+    if tau == 0.0:
+        return 0.5 * c
+    X = 0.5 * s * tau * tau * math.exp(-0.5 * c * tau)
+    if branch == -1 and abs(X) < np.finfo(float).tiny:
+        L = math.log(0.5 * abs(s) * tau * tau) - 0.5 * c * tau
+        w = L - math.log(-L)
+        for _ in range(4):
+            w -= (w + math.log(-w) - L) / (1.0 + 1.0 / w)
+    elif branch == -1 and X < -1.0 / math.e:
+        return None
+    else:
+        w = lambertw(X, branch).real
+    return 0.5 * c + w / tau
+
+
 def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     """Both positive roots of the characteristic function at the zero state.
 
-    For c above the critical speed the function dips below zero between the
-    two roots, so the minimum over (0, zmax) decides existence and brackets
-    both.  chi > z^2 - c z - 1 gives the upper bound zmax.
+    chi is convex on the real axis; its minimum (a Lambert W closed form)
+    decides existence and, when it dips below zero, separates the two
+    roots.  chi > z^2 - c z - 1 puts both below the larger root of that
+    quadratic, the upper bracket.
     """
     if c <= 0.0:
         raise DomainError("wave speed must be positive")
     k = params.slope_zero
-    zmax = 0.5 * (c + np.sqrt(c * c + 4.0))
-    res = minimize_scalar(
-        lambda z: eval_char(z, c, h, k),
-        bounds=(1e-12, zmax),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    if res.fun > 0.0:
+    zmin = _critical_point(c, c * h, k, 0)
+    fmin = eval_char(zmin, c, h, k)
+    if fmin > 0.0:
         return RootsAtZero(np.nan, np.nan, exists=False)
-    f = lambda z: eval_char(z, c, h, k)
-    if res.fun == 0.0:
-        lam = _polish(res.x, c, h, k)
+    if fmin == 0.0:
+        lam = _polish(zmin, c, h, k)
         return RootsAtZero(lam, lam, exists=True)
+    f = lambda z: eval_char(z, c, h, k)
     # relative margin on the upper bracket: chi(zmax) is exponentially small
     # but positive, and the bare evaluation can lose its sign to cancellation
-    hi = zmax * (1.0 + 1e-6) + 1e-9
-    lam2 = brentq(f, 1e-14, res.x, xtol=_XTOL, rtol=_RTOL)
-    lam1 = brentq(f, res.x, hi, xtol=_XTOL, rtol=_RTOL)
+    hi = 0.5 * (c + np.sqrt(c * c + 4.0)) * (1.0 + 1e-6) + 1e-9
+    lam2 = brentq(f, 1e-14, zmin, xtol=_XTOL, rtol=_RTOL)
+    lam1 = brentq(f, zmin, hi, xtol=_XTOL, rtol=_RTOL)
     return RootsAtZero(_polish(lam1, c, h, k), _polish(lam2, c, h, k), exists=True)
-
-
-def _negative_axis_bound(c: float, h: float, s: float) -> float:
-    """L such that chi_kappa < 0 on (-inf, -L]: no negative root lies beyond.
-
-    Any root needs |s| e^{|z| c h} <= z^2 + c|z| + 1, so iterating
-    L <- (ln((L^2 + cL + 1)/|s|) + 2)/(ch) lands above every root with an
-    e^2 margin, and the exponential stays finite there by construction.
-    """
-    a = abs(s)
-    ch = c * h
-    L = 20.0
-    for _ in range(100):
-        nxt = max(1e-6, (np.log((L * L + c * L + 1.0) / a) + 2.0) / ch)
-        if abs(nxt - L) < 1e-9 * L:
-            break
-        L = nxt
-    return L
-
-
-def _negative_axis_peak(c: float, h: float, s: float) -> tuple[float, float]:
-    """Location and value of the maximum of chi_kappa on the negative axis.
-
-    A coarse grid over the certified root interval seeds a bounded
-    refinement; chi_kappa has at most one interior local maximum there
-    (its second derivative changes sign once), so the grid argmax brackets
-    the true peak.
-    """
-    L = _negative_axis_bound(c, h, s)
-    zs = np.linspace(-L, -1e-12, 4000)
-    vals = eval_char(zs, c, h, s)
-    i = int(np.argmax(vals))
-    lo = zs[max(i - 2, 0)]
-    hi = zs[min(i + 2, len(zs) - 1)]
-    res = minimize_scalar(
-        lambda z: -eval_char(z, c, h, s),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    if -res.fun < vals[i]:
-        return float(zs[i]), float(vals[i])
-    return float(res.x), float(-res.fun)
 
 
 def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     """Real roots at the positive equilibrium.
 
     mu1 always exists (chi_kappa(0) < 0 < chi_kappa(+inf)); the two negative
-    roots exist exactly when the bump of chi_kappa on the negative axis rises
-    above zero.  At h = 0 the function is a quadratic, mu3 is reported absent
-    and the region flag is True for every c.
+    roots exist exactly when the peak of chi_kappa on the negative axis (a
+    Lambert W closed form) rises above zero.  At h = 0 the function is a
+    quadratic, mu3 is reported absent and the region flag is True for
+    every c.
     """
     if c <= 0.0:
         raise DomainError("wave speed must be positive")
@@ -226,8 +210,9 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     if h == 0.0:
         mu2 = 0.5 * (c - np.sqrt(c * c + 4.0 * (1.0 - s)))
         return RootsAtKappa(mu1, mu2, None, in_region_Dkappa=True)
-    zpk, fpk = _negative_axis_peak(c, h, s)
-    if fpk <= 0.0:
+    # without a peak left of 0, chi_kappa rises through chi_kappa(0) < 0
+    zpk = _critical_point(c, c * h, s, -1)
+    if zpk is None or zpk >= 0.0 or eval_char(zpk, c, h, s) <= 0.0:
         return RootsAtKappa(mu1, None, None, in_region_Dkappa=False)
     f = lambda z: eval_char(z, c, h, s)
     mu2 = brentq(f, zpk, -1e-15, xtol=_XTOL, rtol=_RTOL)
@@ -238,83 +223,26 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     return RootsAtKappa(mu1, _polish(mu2, c, h, s), _polish(mu3, c, h, s), True)
 
 
-def double_root_speed(h: float, slope: float, tol: float = 1e-12) -> tuple[float, float]:
+def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     """Speed c at which the characteristic function has a double positive root.
 
-    Returns (c, z_double).  Solves chi = chi_z = 0 by a two-dimensional
-    Newton iteration with analytic Jacobian, continued in h from the closed
-    form c = 2*sqrt(slope-1), z = sqrt(slope-1) at h = 0 in steps of 0.05.
-    Falls back to a nested bisection (outer on c, inner on the sign of
-    min chi) if Newton strays.
+    Returns (c, z_double).  The minimum of chi over z, F(c) = chi(z_min(c); c)
+    with z_min the Lambert W critical point, strictly decreases in c from
+    slope - 1 > 0 at c = 0 to below zero at the non-delayed speed
+    2*sqrt(slope-1); one brentq on that bracket finds its zero.  At h = 0
+    the closed form c = 2*sqrt(slope-1), z = sqrt(slope-1) is returned.
     """
     if not slope > 1.0:
         raise DomainError("double_root_speed needs slope > 1")
     if h < 0.0:
         raise DomainError("delay must be nonnegative")
-    c = 2.0 * np.sqrt(slope - 1.0)
-    z = np.sqrt(slope - 1.0)
+    c0 = 2.0 * math.sqrt(slope - 1.0)
     if h == 0.0:
-        return c, z
-    n_steps = max(1, int(np.ceil(h / 0.05)))
-    for i in range(1, n_steps + 1):
-        hi = h * i / n_steps
-        z, c, ok = _newton_double_root(z, c, hi, slope, tol)
-        if not ok:
-            return _bisect_double_root(hi if hi == h else h, slope, tol)
-    return c, z
-
-
-def _newton_double_root(z, c, h, slope, tol):
-    for _ in range(60):
-        E = np.exp(-z * c * h)
-        f1 = z * z - c * z - 1.0 + slope * E
-        f2 = 2.0 * z - c - slope * c * h * E
-        j11 = f2
-        j12 = -z - slope * z * h * E
-        j21 = 2.0 + slope * (c * h) ** 2 * E
-        j22 = -1.0 - slope * h * E + slope * c * z * h * h * E
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not np.isfinite(det):
-            return z, c, False
-        dz = (-f1 * j22 + f2 * j12) / det
-        dc = (-j11 * f2 + j21 * f1) / det
-        z += dz
-        c += dc
-        if z <= 0.0 or c <= 0.0:
-            return z, c, False
-        if abs(f1) < tol and abs(f2) < tol and abs(dz) + abs(dc) < 1e-14:
-            return z, c, True
-    return z, c, False
-
-
-def _bisect_double_root(h, slope, tol):
-    """Outer bisection on c of the sign of min_z chi; robust, slower."""
-
-    def min_chi(c):
-        zmax = 0.5 * (c + np.sqrt(c * c + 4.0))
-        res = minimize_scalar(
-            lambda z: eval_char(z, c, h, slope),
-            bounds=(1e-12, zmax),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        return res.fun, res.x
-
-    lo, hi = 1e-8, 2.0 * np.sqrt(slope - 1.0)
-    while min_chi(hi)[0] > 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise AccuracyError("double-root bisection found no bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if min_chi(mid)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    c = hi
-    return c, min_chi(c)[1]
+        return c0, 0.5 * c0
+    F = lambda c: eval_char(_critical_point(c, c * h, slope, 0), c, h, slope)
+    # to rounding: minimal_speed probes 1e-12 (relative) above this speed
+    c = brentq(F, 1e-9, c0, xtol=1e-300, rtol=_RTOL)
+    return c, _critical_point(c, c * h, slope, 0)
 
 
 def h_star(slope_kappa: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chareq, toyfront
 from .chareq import ModelParams, h_star
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "SpeedCurveSample",
@@ -88,7 +88,7 @@ def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
     c_kappa = chareq.c_kappa_curve(h, params) if h > hs else None
     c_bound = c_bound_curve(h, params.slope_kappa) if hs < h <= h_hat else None
     c_star, regime = toyfront.minimal_speed(h, params.slope_zero)
-    monotone = h <= hs or (c_kappa is not None and c_star <= c_kappa)
+    monotone = bool(h <= hs or (c_kappa is not None and c_star <= c_kappa))
     return SpeedCurveSample(
         h=h,
         c_sharp=c_sharp,
@@ -103,8 +103,9 @@ def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
 def sample_curves(h_grid, params: ModelParams, jobs: int = 1) -> list[SpeedCurveSample]:
     """Evaluate all defined curves on an ascending h-grid.
 
-    Rows fail independently: a solver error on one h is recorded in that
-    row's error field and the sweep continues.  jobs > 1 fans the rows out
+    Rows fail independently: a DomainError or AccuracyError on one h is
+    recorded, with its type, in that row's error field and the sweep
+    continues; any other exception propagates.  jobs > 1 fans the rows out
     to a process pool; the output order always follows the grid.
     """
     h_grid = list(h_grid)
@@ -117,20 +118,16 @@ def sample_curves(h_grid, params: ModelParams, jobs: int = 1) -> list[SpeedCurve
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_one_sample, h, params) for h in h_grid]
-            out = []
-            for h, fut in zip(h_grid, futures):
-                try:
-                    out.append(fut.result())
-                except Exception as exc:  # per-row failure marker
-                    out.append(SpeedCurveSample(h=h, error=str(exc)))
-            return out
-    out = []
-    for h in h_grid:
-        try:
-            out.append(_one_sample(h, params))
-        except Exception as exc:
-            out.append(SpeedCurveSample(h=h, error=str(exc)))
-    return out
+            return [_guarded(h, fut.result) for h, fut in zip(h_grid, futures)]
+    return [_guarded(h, lambda: _one_sample(h, params)) for h in h_grid]
+
+
+def _guarded(h: float, row) -> SpeedCurveSample:
+    """row(), or an error row naming the type of a solver failure."""
+    try:
+        return row()
+    except (DomainError, AccuracyError) as exc:
+        return SpeedCurveSample(h=h, error=f"{type(exc).__name__}: {exc}")
 
 
 def _fmt(v) -> str:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from . import chareq
@@ -477,13 +477,12 @@ def limit_quantities(k: float) -> LimitQuantities:
         xtol=1e-15,
         rtol=rtol,
     )
+    # f_hat is chi at c = 0, delay product rho_hat: its minimum is closed-form
     f_hat = lambda z: z * z - 1.0 + k * np.exp(-rho_hat * z)
-    res = minimize_scalar(
-        f_hat, bounds=(1e-12, 1.0), method="bounded", options={"xatol": 1e-14}
-    )
+    z_min = chareq._critical_point(0.0, rho_hat, k, 0)
     lambda_hat: float | None = None
-    if res.fun <= 0.0:
-        lambda_hat = brentq(f_hat, res.x, 1.0, xtol=1e-15, rtol=rtol)
+    if f_hat(z_min) <= 0.0:
+        lambda_hat = brentq(f_hat, z_min, 1.0, xtol=1e-15, rtol=rtol)
     return LimitQuantities(
         w_plus=w_plus,
         rho=rho,

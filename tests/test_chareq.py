@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,7 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
 )
-from delayfronts.chareq import eval_char_dz
+from delayfronts.chareq import _critical_point, eval_char_dz
 
 from conftest import sample_dkappa
 
@@ -149,6 +150,85 @@ class TestRootsAtKappa:
             for mu in (r.mu1, r.mu2, r.mu3):
                 assert abs(eval_char(mu, c, h, -1.0)) < 1e-10
 
+    def test_underflow_large_speed_is_outside(self, toy12):
+        # X = s (ch)^2/2 e^{-c^2 h/2} underflows; the peak sits near 0 below zero
+        r = roots_at_kappa(50.0, 1.0, toy12)
+        assert not r.in_region_Dkappa
+        assert r.mu2 is None and r.mu3 is None
+
+    def test_underflow_small_delay_is_inside(self, toy12):
+        c, h = 2000.0, 1e-3
+        r = roots_at_kappa(c, h, toy12)
+        assert r.in_region_Dkappa
+        assert r.mu3 == pytest.approx(-4.5602208098, abs=1e-10)
+        assert r.mu3 <= r.mu2 < 0.0 < r.mu1
+        for mu in (r.mu1, r.mu2, r.mu3):
+            assert abs(eval_char(mu, c, h, -1.0)) < 1e-10
+
+
+class TestCriticalPoint:
+    """_critical_point against 50-digit bracketed zeros of chi'."""
+
+    @staticmethod
+    def mp_critical_points(c, h, s):
+        """Zeros of chi' at 50 digits, keyed by the branch that should give them.
+
+        For s > 0 chi' increases and has one zero (branch 0).  For s < 0 it
+        is convex with its minimum at z_infl = ln(|s| tau^2 / 2)/tau; the
+        peak of chi (branch -1), when there is one, lies left of z_infl.
+        """
+        with mpmath.workdps(50):
+            c, h, s = mpmath.mpf(c), mpmath.mpf(h), mpmath.mpf(s)
+            tau = c * h
+            d = lambda z: 2 * z - c - s * tau * mpmath.exp(-z * tau)
+            if s > 0:
+                lo, hi = c / 2, c / 2 + 1
+                while d(hi) < 0:
+                    hi += hi - lo
+                return {0: mpmath.findroot(d, (lo, hi), solver="anderson")}
+            z_infl = mpmath.log(abs(s) * tau**2 / 2) / tau
+            if d(z_infl) > 0:
+                return {}
+            step = 1 / tau
+            while d(z_infl - step) < 0:
+                step *= 2
+            return {-1: mpmath.findroot(d, (z_infl - step, z_infl), solver="anderson")}
+
+    @staticmethod
+    def near_branch_point_slope(c, h, gap):
+        """s < 0 with X = s tau^2/2 e^{-c tau/2} = -(1 - gap)/e."""
+        tau = c * h
+        return -(1.0 - gap) * 2.0 * np.exp(0.5 * c * tau - 1.0) / tau**2
+
+    def cases(self):
+        for c in (0.05, 0.5, 2.0):
+            for h in (0.1, 1.0, 10.0):
+                for s in (1.2, 2.9, -0.01, -1.0):
+                    yield c, h, s
+                # X within 5e-7/e of the branch point -1/e, on either side
+                for gap in (5e-7, -5e-7):
+                    yield c, h, self.near_branch_point_slope(c, h, gap)
+        # X underflows to zero: huge c^2 h
+        yield from [(50.0, 1.0, -1.0), (2000.0, 1e-3, -1.0), (30.0, 2.0, -1.0)]
+        yield 40.0, 1.0, 1.2
+
+    def test_matches_mpmath_zeros_of_derivative(self):
+        seen = {"branch 0": 0, "branch -1": 0, "none": 0, "near -1/e": 0, "underflow": 0}
+        for c, h, s in self.cases():
+            oracle = self.mp_critical_points(c, h, s)
+            branch = 0 if s > 0 else -1
+            z = _critical_point(c, c * h, s, branch)
+            if branch not in oracle:
+                assert z is None, (c, h, s)
+                seen["none"] += 1
+                continue
+            assert z == pytest.approx(float(oracle[branch]), rel=1e-12, abs=1e-12), (c, h, s)
+            seen[f"branch {branch}"] += 1
+            X = 0.5 * s * (c * h) ** 2 * np.exp(-0.5 * c * c * h)
+            seen["near -1/e"] += abs(X + 1.0 / np.e) < 1e-6
+            seen["underflow"] += abs(X) < np.finfo(float).tiny
+        assert min(seen.values()) >= 3, seen
+
 
 class TestDoubleRootSpeed:
     def test_nondelayed_closed_form(self):
@@ -179,6 +259,18 @@ class TestDoubleRootSpeed:
         assert c == pytest.approx(0.5 * (lo + hi), abs=1e-6)
         assert abs(eval_char(z, c, h, slope)) < 1e-12
         assert abs(eval_char_dz(z, c, h, slope)) < 1e-12
+
+    @pytest.mark.parametrize("h", [0.5, 6.0, 50.0])
+    @pytest.mark.parametrize("slope", [1.2, 1.5, 2.9])
+    def test_against_mpmath_double_root_system(self, h, slope):
+        c, z = double_root_speed(h, slope)
+        with mpmath.workdps(50):
+            hh, ss = mpmath.mpf(h), mpmath.mpf(slope)
+            chi = lambda z, c: z * z - c * z - 1 + ss * mpmath.exp(-z * c * hh)
+            dchi = lambda z, c: 2 * z - c - ss * c * hh * mpmath.exp(-z * c * hh)
+            z_mp, c_mp = mpmath.findroot([chi, dchi], (1.01 * z, 0.99 * c))
+        assert c == pytest.approx(float(c_mp), abs=1e-12)
+        assert z == pytest.approx(float(z_mp), abs=1e-12)
 
     def test_decreasing_in_h(self):
         hs = np.linspace(0.0, 6.0, 25)

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from delayfronts import (
+    AccuracyError,
     DomainError,
     ModelParams,
     c_bound_curve,
@@ -163,13 +164,30 @@ class TestSampleCurves:
 
         def flaky(h, slope, **kw):
             if h == 2.0:
-                raise RuntimeError("synthetic failure")
+                raise AccuracyError("synthetic failure")
             return real(h, slope, **kw)
 
         monkeypatch.setattr(sc.chareq, "double_root_speed", flaky)
         rows = sample_curves([1.0, 2.0, 3.0], toy12)
         assert rows[0].error is None and rows[2].error is None
-        assert "synthetic failure" in rows[1].error
+        assert rows[1].error == "AccuracyError: synthetic failure"
+        assert "2,error:AccuracyError: synthetic failure," in curves_csv(rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_row_failure_propagates(self, toy12, monkeypatch, jobs):
+        # only typed solver failures become error rows; a bug must surface
+        import delayfronts.speedcurves as sc
+
+        real = sc.chareq.double_root_speed
+
+        def broken(h, slope, **kw):
+            if h == 2.0:
+                raise RuntimeError("synthetic bug")
+            return real(h, slope, **kw)
+
+        monkeypatch.setattr(sc.chareq, "double_root_speed", broken)
+        with pytest.raises(RuntimeError, match="synthetic bug"):
+            sample_curves([1.0, 2.0, 3.0], toy12, jobs=jobs)
 
     def test_parallel_matches_serial(self, toy12):
         grid = [0.5, 1.0, 1.5]
@@ -184,6 +202,13 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("0,0.894427,,,1.1595,pushed,true")
+
+    def test_monotone_flag_is_lowercase(self):
+        # k = 1.5 is pulled at these delays, where c_star is the linear speed
+        rows = sample_curves([0.2, 1.0], ModelParams.toy(1.5))
+        assert all(type(r.monotone_front) is bool for r in rows)
+        flags = [line.rsplit(",", 1)[1] for line in curves_csv(rows).split()[1:]]
+        assert flags and set(flags) <= {"true", "false"}
 
     def test_byte_identical_reruns(self, toy12):
         a = curves_csv(sample_curves([0.3, 0.6], toy12))
