@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +44,23 @@ class _Manifest:
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
-        self.t0 = time.monotonic()
 
     def write_text(self, name: str, text: str) -> None:
         (self.dir / name).write_text(text)
         self.outputs.append(name)
+
+    def write_csv(self, name: str, header: str, *columns) -> None:
+        """Write equal-length columns as CSV rows under a header line.
+
+        Float columns get six significant digits, the cells _fmt writes;
+        other columns (integers) are written with str.
+        """
+        cells = []
+        for col in columns:
+            col = np.asarray(col)
+            fmt = "{:.6g}".format if col.dtype.kind == "f" else str
+            cells.append(map(fmt, col.tolist()))
+        self.write_text(name, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
     def finalize(self) -> None:
         doc = {
@@ -57,7 +68,6 @@ class _Manifest:
             "parameters": self.params,
             "version": __version__,
             "outputs": self.outputs,
-            "duration_seconds": round(time.monotonic() - self.t0, 3),
         }
         (self.dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -127,15 +137,11 @@ def _cmd_profile(args) -> int:
     prof = toyfront.build_profile(c, args.h, args.k, t_max=args.t_max,
                                   grid_step=args.grid_step)
     man = _Manifest("profile", vars(args), args.out)
-    ch = prof.c * prof.h
-    lines = ["t,phi,dphi"]
-    tail_t = np.arange(-ch - 10.0, 0.0, prof.grid_step)
-    for tv in tail_t:
-        lines.append(f"{_fmt(float(tv))},{_fmt(float(prof.tail(tv)))},"
-                     f"{_fmt(float(prof.tail_deriv(tv)))}")
-    for tv, ph, dp in zip(prof.t, prof.phi, prof.dphi):
-        lines.append(f"{_fmt(float(tv))},{_fmt(float(ph))},{_fmt(float(dp))}")
-    man.write_text("profile.csv", "\n".join(lines) + "\n")
+    tail_t = np.arange(-prof.c * prof.h - 10.0, 0.0, prof.grid_step)
+    man.write_csv("profile.csv", "t,phi,dphi",
+                  np.concatenate([tail_t, prof.t]),
+                  np.concatenate([prof.tail(tail_t), prof.phi]),
+                  np.concatenate([prof.tail_deriv(tail_t), prof.dphi]))
     header = {
         "c": prof.c,
         "h": prof.h,
@@ -163,9 +169,7 @@ def _cmd_kernel(args) -> int:
         ("theta.csv", nker.t, theta_vals),
         ("n.csv", nker.t, nker.values),
     ):
-        rows = "\n".join(f"{_fmt(float(a))},{_fmt(float(b))}"
-                         for a, b in zip(grid_t, grid_v))
-        man.write_text(name, "t,value\n" + rows + "\n")
+        man.write_csv(name, "t,value", grid_t, grid_v)
     man.finalize()
     return 0
 
@@ -178,12 +182,10 @@ def _cmd_simulate(args) -> int:
     )
     res = pdesim.run(cfg)
     man = _Manifest("simulate", vars(args), args.out)
-    rows = "\n".join(f"{_fmt(float(t))},{_fmt(float(x))}" for t, x in res.level_trajectory)
-    man.write_text("trajectory.csv", "t,x_level\n" + rows + "\n")
+    man.write_csv("trajectory.csv", "t,x_level", *res.level_trajectory.T)
     x = cfg.x_min + cfg.dx * np.arange(cfg.n_points)
     for t_snap, u in res.snapshots:
-        rows = "\n".join(f"{_fmt(float(a))},{_fmt(float(b))}" for a, b in zip(x, u))
-        man.write_text(f"snapshot_t{_fmt(float(t_snap))}.csv", "x,u\n" + rows + "\n")
+        man.write_csv(f"snapshot_t{_fmt(t_snap)}.csv", "x,u", x, u)
     man.write_text(
         "result.json",
         json.dumps(
@@ -221,10 +223,7 @@ def _cmd_table(args) -> int:
             results = [f.result() for f in futs]
     else:
         results = [_table_row(h, args.k, args.t_end) for h in rows]
-    lines = ["h,c_sharp,c_star,c_ns"]
-    for h, cs, cst, cns in results:
-        lines.append(f"{_fmt(h)},{_fmt(cs)},{_fmt(cst)},{_fmt(cns)}")
-    man.write_text("table.csv", "\n".join(lines) + "\n")
+    man.write_csv("table.csv", "h,c_sharp,c_star,c_ns", *zip(*results))
     man.finalize()
     return 0
 

@@ -5,14 +5,13 @@ Crank-Nicolson in time and second-order central differences in space for
     u_t = u_xx - u + g(u(t - h, x)),
 
 with the piecewise-linear birth law, Dirichlet values pinned at both ends,
-and the delayed source read from a ring of stored time levels.  The front
+and the delayed source read from a ring of stored g(u) levels.  The front
 position is tracked as the leftmost crossing of a fixed level and its
 asymptotic speed fitted on the trailing part of the trajectory.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,16 +81,22 @@ class SimConfig:
 
 @dataclass
 class SimState:
-    """Mutable integration state; single-threaded use only."""
+    """Mutable integration state; single-threaded use only.
+
+    history is the ring of source levels g(u^n), level n in row
+    n % len(history); it holds h/dt + 1 rows (two at h = 0).
+    """
 
     config: SimConfig
     x: np.ndarray
     u: np.ndarray
-    t: float
-    history: deque  # levels u(t - h) ... u(t), oldest first
+    history: np.ndarray
     lu: object = field(repr=False)
-    prev_source: np.ndarray | None = field(default=None, repr=False)
     step_count: int = 0
+
+    @property
+    def t(self) -> float:
+        return self.step_count * self.config.dt
 
 
 @dataclass
@@ -120,50 +125,41 @@ def _assemble(config: SimConfig):
 def init_cauchy(config: SimConfig) -> SimState:
     """Step-function Cauchy data held constant over the delay interval.
 
-    The history ring holds h/dt + 1 identical levels (one at h = 0) and the
+    Every row of the g(u) ring holds the source of the initial data, and the
     state clock starts at 0.
     """
     x = config.x_min + config.dx * np.arange(config.n_points)
     u = np.where(x < config.step_location, 0.0, 2.0)
+    # 0 and 2 are equilibria, fixed points of g, so this is also g(u); the
+    # end columns of the ring are never read
+    history = np.tile(u, (max(config.delay_steps, 1) + 1, 1))
     u[0] = config.bc_left
     u[-1] = config.bc_right
-    history = deque(u.copy() for _ in range(config.delay_steps + 1))
-    return SimState(
-        config=config,
-        x=x,
-        u=u,
-        t=0.0,
-        history=history,
-        lu=splu(_assemble(config)),
-    )
+    return SimState(config=config, x=x, u=u, history=history,
+                    lu=splu(_assemble(config)))
 
 
 def cn_step(state: SimState) -> SimState:
     """Advance one Crank-Nicolson step.
 
     Diffusion and the linear decay are averaged across the step; the delayed
-    source is averaged between the stored levels at t - h and t + dt - h
+    source is averaged between the stored levels g(u) at t - h and t + dt - h
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
-    (still second order; the very first step is plain explicit).  The
-    tridiagonal solve reuses a precomputed sparse LU (forward elimination /
-    back substitution).
+    (still second order; on the first step both levels are the Cauchy data).
+    The tridiagonal solve reuses a precomputed sparse LU (forward
+    elimination / back substitution).  g of the new level is evaluated once
+    and written over the ring row no longer needed.
     """
     cfg = state.config
     m = cfg.delay_steps
     r = cfg.dt / (2.0 * cfg.dx * cfg.dx)
-    u = state.u
+    u, g, n = state.u, state.history, state.step_count
+    rows = len(g)
     if m >= 1:
-        src = 0.5 * (
-            birth_rate(state.history[0], cfg.k) + birth_rate(state.history[1], cfg.k)
-        )
+        src = 0.5 * (g[(n - m) % rows] + g[(n - m + 1) % rows])
     else:
-        g_now = birth_rate(u, cfg.k)
-        if state.prev_source is None:
-            src = g_now
-        else:
-            src = 1.5 * g_now - 0.5 * state.prev_source
-        state.prev_source = g_now
+        src = 1.5 * g[n % rows] - 0.5 * g[(n - 1) % rows]
     b = np.empty_like(u)
     b[1:-1] = (
         r * u[:-2]
@@ -175,15 +171,10 @@ def cn_step(state: SimState) -> SimState:
     b[-1] = cfg.bc_right
     new = state.lu.solve(b)
     if not np.all(np.isfinite(new)):
-        raise AccuracyError(f"non-finite field after step to t={state.t + cfg.dt}")
+        raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
     state.u = new
-    state.t += cfg.dt
-    state.step_count += 1
-    if m >= 1:
-        state.history.popleft()
-        state.history.append(new.copy())
-    else:
-        state.history[0] = new
+    state.step_count = n + 1
+    g[(n + 1) % rows] = birth_rate(new, cfg.k)
     return state
 
 
@@ -205,13 +196,14 @@ def run(config: SimConfig) -> SimResult:
     The trajectory of the level crossing is recorded every step; the run
     stops early once the crossing comes within stop_margin of x_min so the
     Dirichlet wall cannot contaminate the speed fit.  Snapshots are taken at
-    the requested times (rounded to the step grid).
+    the requested times (rounded to the step grid).  cn_step replaces
+    state.u and never writes into it, so snapshots share its arrays.
     """
     state = init_cauchy(config)
     snap_steps = {int(round(ts / config.dt)): ts for ts in config.snapshot_times}
     snapshots: list[tuple[float, np.ndarray]] = []
     if 0 in snap_steps:
-        snapshots.append((0.0, state.u.copy()))
+        snapshots.append((0.0, state.u))
     times, positions = [], []
     n_steps = int(round(config.t_end / config.dt))
     u_min, u_max = float(state.u.min()), float(state.u.max())
@@ -220,7 +212,7 @@ def run(config: SimConfig) -> SimResult:
         u_min = min(u_min, float(state.u.min()))
         u_max = max(u_max, float(state.u.max()))
         if n in snap_steps:
-            snapshots.append((state.t, state.u.copy()))
+            snapshots.append((state.t, state.u))
         xl = _level_crossing(state.x, state.u, config.level)
         if xl is not None:
             times.append(state.t)

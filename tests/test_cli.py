@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from delayfronts import kernels
-from delayfronts.cli import main
+from delayfronts.cli import _Manifest, main
+from delayfronts.speedcurves import _fmt
 
 
 def parse_kv(output: str) -> dict:
@@ -63,13 +65,31 @@ class TestCurves:
         assert manifest["parameters"]["k"] == 1.2
 
     def test_byte_identical_reruns(self, tmp_path):
-        texts = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            main(["curves", "--k", "1.2", "--h-max", "0.6", "--h-step", "0.3",
-                  "--out", str(out)])
-            texts.append((out / "curves.csv").read_bytes())
-        assert texts[0] == texts[1]
+        for argv in (
+            ["curves", "--k", "1.2", "--h-max", "0.6", "--h-step", "0.3"],
+            ["profile", "--k", "1.2", "--h", "0.5"],
+            ["kernel", "--k", "1.2", "--c", "0.5", "--h", "1"],
+            ["simulate", "--k", "1.2", "--h", "0.5", "--t-end", "10", "--snapshots", "0,5"],
+        ):
+            out = tmp_path / argv[0]
+            files = []
+            for _ in range(2):
+                assert main(argv + ["--out", str(out)]) == 0
+                files.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert "manifest.json" in files[0], argv[0]
+            assert files[0] == files[1], argv[0]
+
+
+class TestWriteCsv:
+    def test_cells_match_fmt(self, tmp_path):
+        floats = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e-300,
+                  123456.5, 1e16]
+        ints = [0, -1, 7, 42, 10**7, 123456789, -5, 1]
+        man = _Manifest("test", {}, str(tmp_path))
+        man.write_csv("edge.csv", "x,n", np.array(floats), np.array(ints))
+        expected = "x,n\n" + "".join(f"{_fmt(x)},{_fmt(n)}\n" for x, n in zip(floats, ints))
+        assert (tmp_path / "edge.csv").read_text() == expected
+        assert man.outputs == ["edge.csv"]
 
 
 class TestProfileKernelSimulate:

@@ -8,6 +8,7 @@ from delayfronts import (
     estimate_speed,
     init_cauchy,
     minimal_speed,
+    pdesim,
     run,
 )
 from delayfronts.toyfront import birth_rate
@@ -15,10 +16,13 @@ from delayfronts.toyfront import birth_rate
 
 class TestConfigAndInit:
     def test_history_ring_sizes(self):
-        st = init_cauchy(SimConfig(h=0.5, k=1.2, t_end=1.0))
-        assert len(st.history) == 51
-        st = init_cauchy(SimConfig(h=0.0, k=1.2, t_end=1.0))
-        assert len(st.history) == 1
+        for h, rows in ((0.5, 51), (0.0, 2)):
+            st = init_cauchy(SimConfig(h=h, k=1.2, t_end=1.0))
+            assert st.history.shape == (rows, 1001)
+            # every row is g of the Cauchy data (the end columns are unused)
+            g0 = birth_rate(st.u, 1.2)[1:-1]
+            for row in st.history:
+                np.testing.assert_array_equal(row[1:-1], g0)
 
     def test_default_grid_has_1001_points(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
@@ -45,7 +49,7 @@ class TestCnStep:
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_right=0.0)
         st = init_cauchy(cfg)
         st.u = np.zeros_like(st.u)
-        st.history = type(st.history)(st.u.copy() for _ in range(51))
+        st.history[:] = birth_rate(st.u, cfg.k)
         cn_step(st)
         assert np.abs(st.u).max() == 0.0
 
@@ -53,7 +57,7 @@ class TestCnStep:
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_left=2.0)
         st = init_cauchy(cfg)
         st.u = np.full_like(st.u, 2.0)
-        st.history = type(st.history)(st.u.copy() for _ in range(51))
+        st.history[:] = birth_rate(st.u, cfg.k)
         cn_step(st)
         np.testing.assert_allclose(st.u, 2.0, atol=1e-13)
 
@@ -61,8 +65,6 @@ class TestCnStep:
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
         st = init_cauchy(cfg)
         u0 = st.u.copy()
-        hist0 = st.history[0].copy()
-        hist1 = st.history[1].copy()
         cn_step(st)
         # independent oracle: assemble the dense system by hand and solve
         nx, dt, dx = cfg.n_points, cfg.dt, cfg.dx
@@ -73,7 +75,7 @@ class TestCnStep:
             A[i, i - 1] = A[i, i + 1] = -r
             A[i, i] = 1.0 + 2.0 * r + dt / 2.0
         b = np.empty(nx)
-        src = 0.5 * (birth_rate(hist0, cfg.k) + birth_rate(hist1, cfg.k))
+        src = birth_rate(u0, cfg.k)  # both delayed levels are the Cauchy data
         b[1:-1] = (
             r * u0[:-2]
             + (1.0 - 2.0 * r - dt / 2.0) * u0[1:-1]
@@ -89,6 +91,18 @@ class TestCnStep:
         cn_step(st)
         assert st.u.min() >= -1e-12
         assert st.u.max() <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_birth_rate_evaluated_once_per_step(self, h, monkeypatch):
+        calls = []
+
+        def counted(u, k):
+            calls.append(1)
+            return birth_rate(u, k)
+
+        monkeypatch.setattr(pdesim, "birth_rate", counted)
+        run(SimConfig(h=h, k=1.2, t_end=2.0))
+        assert len(calls) == 200
 
 
 class TestEstimateSpeed:
@@ -132,6 +146,15 @@ class TestRun:
         assert res.snapshots[1][0] == pytest.approx(1.0, abs=1e-9)
         assert res.snapshots[1][1].shape == (1001,)
 
+    def test_clock_is_step_count_times_dt(self):
+        cfg = SimConfig(h=0.5, k=1.2, t_end=20.0)
+        res = run(cfg)
+        t = res.level_trajectory[:, 0]
+        steps = np.rint(t / cfg.dt)
+        np.testing.assert_array_equal(t, steps * cfg.dt)
+        t0 = res.fit_window[0]
+        assert t0 == round(t0 / cfg.dt) * cfg.dt
+
     def test_translation_invariance(self):
         # shifting the initial interface by whole cells translates the
         # discrete dynamics exactly until boundary effects differ
@@ -158,9 +181,7 @@ class TestRun:
             st = init_cauchy(cfg)
             # tanh saturates to the boundary values within 1e-20 at |x| = 25
             st.u = 0.05 + 0.05 * np.tanh(st.x)
-            st.history = type(st.history)(
-                st.u.copy() for _ in range(cfg.delay_steps + 1)
-            )
+            st.history[:] = birth_rate(st.u, cfg.k)
             for _ in range(int(round(cfg.t_end / cfg.dt))):
                 cn_step(st)
             fields.append(st.u)
