@@ -184,6 +184,21 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     return RootsAtZero(_polish(lam1, c, h, k), _polish(lam2, c, h, k), exists=True)
 
 
+def _mu1(c: float, h: float, s: float) -> float:
+    """mu1 of roots_at_kappa alone, for callers that need no negative root."""
+    lo = 0.5 * (c + np.sqrt(c * c + 4.0))
+    hi = 0.5 * (c + np.sqrt(c * c + 4.0 * (1.0 - s)))
+    # margins beat the cancellation noise of z^2 - cz - 1 near its root
+    mu1 = brentq(
+        lambda z: eval_char(z, c, h, s),
+        lo * (1.0 - 1e-6) - 1e-9,
+        hi * (1.0 + 1e-6) + 1e-9,
+        xtol=_XTOL,
+        rtol=_RTOL,
+    )
+    return _polish(mu1, c, h, s)
+
+
 def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     """Real roots at the positive equilibrium.
 
@@ -196,17 +211,7 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     if c <= 0.0:
         raise DomainError("wave speed must be positive")
     s = params.slope_kappa
-    lo = 0.5 * (c + np.sqrt(c * c + 4.0))
-    hi = 0.5 * (c + np.sqrt(c * c + 4.0 * (1.0 - s)))
-    # margins beat the cancellation noise of z^2 - cz - 1 near its root
-    mu1 = brentq(
-        lambda z: eval_char(z, c, h, s),
-        lo * (1.0 - 1e-6) - 1e-9,
-        hi * (1.0 + 1e-6) + 1e-9,
-        xtol=_XTOL,
-        rtol=_RTOL,
-    )
-    mu1 = _polish(mu1, c, h, s)
+    mu1 = _mu1(c, h, s)
     if h == 0.0:
         mu2 = 0.5 * (c - np.sqrt(c * c + 4.0 * (1.0 - s)))
         return RootsAtKappa(mu1, mu2, None, in_region_Dkappa=True)
@@ -240,7 +245,6 @@ def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     if h == 0.0:
         return c0, 0.5 * c0
     F = lambda c: eval_char(_critical_point(c, c * h, slope, 0), c, h, slope)
-    # to rounding: minimal_speed probes 1e-12 (relative) above this speed
     c = brentq(F, 1e-9, c0, xtol=1e-300, rtol=_RTOL)
     return c, _critical_point(c, c * h, slope, 0)
 

@@ -95,7 +95,7 @@ def _cmd_curves(args) -> int:
     n = int(round((args.h_max - args.h_min) / args.h_step))
     grid = [args.h_min + i * args.h_step for i in range(n + 1)]
     man = _Manifest("curves", vars(args), args.out)
-    samples = speedcurves.sample_curves(grid, params, jobs=args.jobs)
+    samples = speedcurves.sample_curves(grid, params)
     man.write_text("curves.csv", speedcurves.curves_csv(samples))
     man.finalize()
     return 0
@@ -248,7 +248,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--h-min", type=float, default=0.0)
     p.add_argument("--h-max", type=float, default=6.0)
     p.add_argument("--h-step", type=float, default=0.05)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: rows always run in-process")
     p.add_argument("--out", default=".")
     p.set_defaults(fn=_cmd_curves)
 

@@ -100,34 +100,25 @@ def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
     )
 
 
-def sample_curves(h_grid, params: ModelParams, jobs: int = 1) -> list[SpeedCurveSample]:
+def sample_curves(h_grid, params: ModelParams) -> list[SpeedCurveSample]:
     """Evaluate all defined curves on an ascending h-grid.
 
     Rows fail independently: a DomainError or AccuracyError on one h is
     recorded, with its type, in that row's error field and the sweep
-    continues; any other exception propagates.  jobs > 1 fans the rows out
-    to a process pool; the output order always follows the grid.
+    continues; any other exception propagates.
     """
     h_grid = list(h_grid)
     if any(b < a for a, b in zip(h_grid[:-1], h_grid[1:])):
         raise DomainError("h_grid must be ascending")
     if any(h < 0.0 for h in h_grid):
         raise DomainError("delays must be nonnegative")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_one_sample, h, params) for h in h_grid]
-            return [_guarded(h, fut.result) for h, fut in zip(h_grid, futures)]
-    return [_guarded(h, lambda: _one_sample(h, params)) for h in h_grid]
-
-
-def _guarded(h: float, row) -> SpeedCurveSample:
-    """row(), or an error row naming the type of a solver failure."""
-    try:
-        return row()
-    except (DomainError, AccuracyError) as exc:
-        return SpeedCurveSample(h=h, error=f"{type(exc).__name__}: {exc}")
+    samples = []
+    for h in h_grid:
+        try:
+            samples.append(_one_sample(h, params))
+        except (DomainError, AccuracyError) as exc:
+            samples.append(SpeedCurveSample(h=h, error=f"{type(exc).__name__}: {exc}"))
+    return samples
 
 
 def _fmt(v) -> str:

@@ -9,9 +9,10 @@ amplitude p and, at the minimal speed, the selection equation
     lambda1(c) / mu1(c) = (3 - k) / 4
 
 whose root (when it exists) is the pushed minimal speed.  This module
-computes the minimal speed, the amplitude, full profiles with structural
-diagnostics, the pushed-to-pulled and oscillation thresholds in the delay,
-and the large-delay limit quantities.
+computes the minimal speed (one bracketed root of a convex function of
+q = c mu1), the amplitude, full profiles with structural diagnostics, the
+pushed-to-pulled and oscillation thresholds in the delay, and the
+large-delay limit quantities.
 """
 
 from __future__ import annotations
@@ -95,39 +96,40 @@ def ratio_T(c: float, h: float, k: float) -> float:
     r0 = chareq.roots_at_zero(c, h, params)
     if not r0.exists:
         raise DomainError(f"c={c} is below the linear speed at h={h}")
-    rk = chareq.roots_at_kappa(c, h, params)
-    return r0.lambda1 / rk.mu1
+    return r0.lambda1 / chareq._mu1(c, h, params.slope_kappa)
 
 
 def minimal_speed(h: float, k: float) -> tuple[float, str]:
     """Minimal wavefront speed of the delayed model and its regime.
 
-    If the selection ratio at the linear speed is at most (3-k)/4 the
-    selection equation has a root above c_sharp (unique, the ratio being
-    increasing) and the front is pushed; otherwise the linear speed is
-    minimal and the front is pulled.
+    With q = c mu1, chi_kappa(mu1) = 0 reads mu1^2 = 1 + q + e^{-qh}, and
+    putting lambda = T mu1 (T = (3-k)/4) into chi_0 leaves one equation in q:
+
+        F(q) = T^2 (1 + q + e^{-qh}) - T q - 1 + k e^{-T q h} = 0.
+
+    F is convex (F'' = T^2 h^2 (e^{-qh} + k e^{-Tqh}) >= 0), positive at
+    F(0) = 2T^2 + k - 1 and F(q) <= F(0) - T(1-T) q, so its one root lies in
+    (0, 2F(0)/(T(1-T))), where one brentq finds it; then
+    mu1 = sqrt(1 + q + e^{-qh}) and c = q/mu1.  If chi_0 rises at T mu1,
+    that zero is lambda1 and solves the selection equation: the front is
+    pushed at speed c.  Otherwise it is lambda2, no speed solves the
+    selection equation, and the linear speed is minimal (pulled).
     """
     if h < 0.0:
         raise DomainError("delay must be nonnegative")
-    params = ModelParams.toy(k)
-    c_sharp, _ = chareq.double_root_speed(h, k)
-    target = (3.0 - k) / 4.0
-    t0 = ratio_T(c_sharp * (1.0 + 1e-12), h, k)
-    if t0 > target:
-        return c_sharp, "pulled"
-    hi = max(2.0 * c_sharp, 1.0)
-    while ratio_T(hi, h, k) < target:
-        hi *= 2.0
-        if hi > 1e8:
-            raise AccuracyError("selection equation bracket not found")
-    c_star = brentq(
-        lambda c: ratio_T(c, h, k) - target,
-        c_sharp * (1.0 + 1e-12),
-        hi,
-        xtol=1e-13,
-        rtol=4 * _EPS,
+    if not 1.0 < k < 3.0:
+        raise DomainError(f"k must lie in (1, 3), got {k}")
+    T = (3.0 - k) / 4.0
+    F0 = 2.0 * T * T + k - 1.0
+    F = lambda q: (
+        T * T * (1.0 + q + math.exp(-q * h)) - T * q - 1.0 + k * math.exp(-T * q * h)
     )
-    return c_star, "pushed"
+    q = brentq(F, 0.0, 2.0 * F0 / (T * (1.0 - T)), xtol=1e-300, rtol=4 * _EPS)
+    mu1 = math.sqrt(1.0 + q + math.exp(-q * h))
+    c = q / mu1
+    if chareq.eval_char_dz(T * mu1, c, h, k) > 0.0:
+        return c, "pushed"
+    return chareq.double_root_speed(h, k)[0], "pulled"
 
 
 def amplitude_p(c: float, h: float, k: float) -> float:
@@ -148,7 +150,7 @@ def amplitude_p(c: float, h: float, k: float) -> float:
         # 0/0-adjacent: the critical profile takes a different functional
         # form, which this builder deliberately does not extrapolate
         raise DomainError("too close to critical: lambda1 - lambda2 under 1e-8")
-    mu1 = chareq.roots_at_kappa(c, h, params).mu1
+    mu1 = chareq._mu1(c, h, params.slope_kappa)
     p = (4.0 * lam1 / mu1 - (3.0 - k)) / (1.0 + k) * (mu1 - lam2) / (lam1 - lam2)
     if p < -1e-12:
         raise DomainError(
@@ -167,7 +169,7 @@ def junction_derivative(c: float, h: float, k: float) -> float:
     if not r0.exists:
         raise DomainError(f"c={c} is below the linear speed at h={h}")
     lam1, lam2 = r0.lambda1, r0.lambda2
-    mu1 = chareq.roots_at_kappa(c, h, params).mu1
+    mu1 = chareq._mu1(c, h, params.slope_kappa)
     return ((3.0 - k) * (mu1 - lam1 - lam2) + 4.0 * lam1 * lam2 / mu1) / (1.0 + k)
 
 
@@ -303,7 +305,7 @@ def build_profile(
     params = ModelParams.toy(k)
     r0 = chareq.roots_at_zero(c, h, params)
     lam1, lam2 = r0.lambda1, r0.lambda2
-    mu1 = chareq.roots_at_kappa(c, h, params).mu1
+    mu1 = chareq._mu1(c, h, params.slope_kappa)
     ch = c * h
 
     if h > 0.0:
@@ -500,7 +502,7 @@ def limit_quantities(k: float) -> LimitQuantities:
 def _T1(h: float, k: float) -> float:
     """Selection ratio along the linear-speed curve (lambda1 is the double root)."""
     c_sharp, z_dbl = chareq.double_root_speed(h, k)
-    mu1 = chareq.roots_at_kappa(c_sharp, h, ModelParams.toy(k)).mu1
+    mu1 = chareq._mu1(c_sharp, h, -1.0)  # the toy model's g'(kappa)
     return z_dbl / mu1
 
 
@@ -522,7 +524,7 @@ def pushed_to_pulled_delay(k: float) -> float:
         hi *= 2.0
         if hi > _SEARCH_CAP:
             return math.inf
-    return brentq(lambda h: _T1(h, k) - target, lo, hi, xtol=1e-6)
+    return brentq(lambda h: _T1(h, k) - target, lo, hi, xtol=1e-300, rtol=4 * _EPS)
 
 
 def _T2(h: float, k: float) -> float | None:
@@ -532,7 +534,7 @@ def _T2(h: float, k: float) -> float | None:
     r0 = chareq.roots_at_zero(ck, h, params)
     if not r0.exists:
         return None
-    return r0.lambda1 / chareq.roots_at_kappa(ck, h, params).mu1
+    return r0.lambda1 / chareq._mu1(ck, h, params.slope_kappa)
 
 
 def oscillation_threshold(k: float, cap: float = _SEARCH_CAP) -> float | None:

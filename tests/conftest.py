@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from delayfronts import ModelParams, c_kappa_curve, h_star
+
+# reproducible examples and no per-example deadline on a loaded host
+settings.register_profile("delayfronts", derandomize=True, deadline=None)
+settings.load_profile("delayfronts")
 
 
 @pytest.fixture(scope="session")

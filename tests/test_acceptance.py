@@ -108,7 +108,7 @@ def test_05_closed_form_consistency():
         solved, regime = minimal_speed(0.0, k)
         assert regime == "pushed"
         worst = max(worst, abs(closed - solved))
-        assert abs(closed - solved) <= 1e-10, k
+        assert abs(closed - solved) <= 1e-14, k
     report("5 closed-form consistency", f"50 k values, worst gap={worst:.2e}")
 
 

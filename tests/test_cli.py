@@ -64,6 +64,17 @@ class TestCurves:
         assert manifest["version"] == "0.1.0"
         assert manifest["parameters"]["k"] == 1.2
 
+    def test_jobs_accepted_and_ignored(self, tmp_path):
+        # rows always run in-process; --jobs only stays parseable
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            args = ["curves", "--k", "1.5", "--h-max", "1", "--h-step", "0.25",
+                    "--jobs", jobs, "--out", str(out)]
+            assert main(args) == 0
+            texts.append((out / "curves.csv").read_bytes())
+        assert texts[0] == texts[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         for argv in (
             ["curves", "--k", "1.2", "--h-max", "0.6", "--h-step", "0.3"],

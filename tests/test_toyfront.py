@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -101,6 +104,48 @@ class TestMinimalSpeed:
         hs = np.linspace(0.0, 6.0, 30)
         cs = [minimal_speed(h, 1.2)[0] for h in hs]
         assert np.all(np.diff(cs) < 0)
+
+    @pytest.mark.parametrize("k", [1.2, 1.35, 1.5])
+    def test_against_mpmath_selection_system(self, k):
+        # (chi_0(lam), chi_kappa(mu), lam - T mu) = 0 at 50 digits
+        for h in (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0):
+            c, regime = minimal_speed(h, k)
+            if regime != "pushed":
+                continue
+            mu = roots_at_kappa(c, h, ModelParams.toy(k)).mu1
+            with mpmath.workdps(50):
+                K, H = mpmath.mpf(k), mpmath.mpf(h)
+                T = (3 - K) / 4
+                system = lambda lam, m, cc: [
+                    lam**2 - cc * lam - 1 + K * mpmath.exp(-lam * cc * H),
+                    m**2 - cc * m - 1 - mpmath.exp(-m * cc * H),
+                    lam - T * m,
+                ]
+                exact = mpmath.findroot(system, (T * mu, mu, c))[2]
+                assert float(abs(c - exact) / exact) <= 2e-15, (k, h)
+
+    @pytest.mark.parametrize("k", [1.4, 1.5, 1.6, 1.66])
+    def test_regime_flips_at_transition_delay(self, k):
+        h_p = pushed_to_pulled_delay(k)
+        assert minimal_speed(h_p * (1.0 - 1e-9), k)[1] == "pushed"
+        assert minimal_speed(h_p * (1.0 + 1e-9), k)[1] == "pulled"
+
+    @given(st.floats(0.0, 8.0), st.floats(1.01, 2.99))
+    def test_selection_properties(self, h, k):
+        c, regime = minimal_speed(h, k)
+        c_sharp = double_root_speed(h, k)[0]
+        assert c >= c_sharp
+        if regime == "pushed":
+            assert abs(ratio_T(c, h, k) - (3.0 - k) / 4.0) <= 1e-12
+            assert amplitude_p(c, h, k) == 0.0
+        else:
+            assert regime == "pulled"
+            assert c == c_sharp
+
+    @pytest.mark.parametrize("h,k", [(-0.1, 1.2), (0.5, 1.0), (0.5, 3.0), (0.5, 3.5)])
+    def test_domain_errors(self, h, k):
+        with pytest.raises(DomainError):
+            minimal_speed(h, k)
 
 
 class TestAmplitude:
