@@ -50,6 +50,10 @@ __all__ = [
 _XTOL = 1e-13
 _RTOL = 4 * np.finfo(float).eps
 _NEWTON_POLISH = 3
+# roots_at_kappa refuses 0 < c h below this: |mu3| ~ 2 ln(1/(ch))/(ch), and a
+# scan of c h in 0.01-decade steps first failed at 2.3e-76, where the doubled
+# mu3 bracket overflows exp (then brentq and _critical_point's log fail).
+_TAU_FLOOR = 1e-70
 
 
 @dataclass(frozen=True)
@@ -124,11 +128,16 @@ def eval_char_dz(z, c, h, slope):
 
 
 def _polish(z: float, c: float, h: float, slope: float) -> float:
+    """Newton steps from a bracketed root; one ten times longer than the
+    bracket tolerance (chi' ~ 0 at a near-double root) would leave it."""
     for _ in range(_NEWTON_POLISH):
         d = eval_char_dz(z, c, h, slope)
         if d == 0.0:
             break
-        z -= eval_char(z, c, h, slope) / d
+        step = eval_char(z, c, h, slope) / d
+        if abs(step) > 10.0 * (_XTOL + _RTOL * abs(z)):
+            break
+        z -= step
     return z
 
 
@@ -199,14 +208,29 @@ def _mu1(c: float, h: float, s: float) -> float:
     return _polish(mu1, c, h, s)
 
 
+def _dkappa_margin(c: float, tau: float, s: float) -> float:
+    """Positive iff chi (slope s < 0, tau = c h) has two negative roots: D_kappa.
+
+    That is, chi has a peak left of 0 and is positive there.  At the peak
+    z = c/2 + w/tau (_critical_point) chi' = 0 makes chi(z) =
+    (w^2 + 2w)/tau^2 - 1 - c^2/4, positive iff w < w* = -1 - S/2 with
+    S = 2 sqrt(1 + tau^2 (1 + c^2/4)); as w e^w falls on w <= -1, iff
+    s tau^2/2 e^{-c tau/2} > w* e^{w*}, which fails too without a peak or
+    with one at z >= 0.  Scaled: (2 + S) e^{(c tau - S)/2} > e |s| tau^2,
+    finite for all tau >= 0 and 4/e (inside) at tau = 0.
+    """
+    S = 2.0 * math.sqrt(1.0 + tau * tau * (1.0 + 0.25 * c * c))
+    return (2.0 + S) * math.exp(0.5 * (c * tau - S)) - math.e * abs(s) * tau * tau
+
+
 def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     """Real roots at the positive equilibrium.
 
     mu1 always exists (chi_kappa(0) < 0 < chi_kappa(+inf)); the two negative
-    roots exist exactly when the peak of chi_kappa on the negative axis (a
-    Lambert W closed form) rises above zero.  At h = 0 the function is a
-    quadratic, mu3 is reported absent and the region flag is True for
-    every c.
+    roots exist exactly when _dkappa_margin is positive, and chi_kappa's
+    peak on the negative axis (a Lambert W closed form) separates them.
+    At h = 0 the function is a quadratic, mu3 is reported absent and the
+    region flag is True for every c.  0 < c h < 1e-70 raises DomainError.
     """
     if c <= 0.0:
         raise DomainError("wave speed must be positive")
@@ -215,11 +239,15 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     if h == 0.0:
         mu2 = 0.5 * (c - np.sqrt(c * c + 4.0 * (1.0 - s)))
         return RootsAtKappa(mu1, mu2, None, in_region_Dkappa=True)
-    # without a peak left of 0, chi_kappa rises through chi_kappa(0) < 0
-    zpk = _critical_point(c, c * h, s, -1)
-    if zpk is None or zpk >= 0.0 or eval_char(zpk, c, h, s) <= 0.0:
+    if c * h < _TAU_FLOOR:
+        raise DomainError(f"c*h = {c * h:.3g} is below {_TAU_FLOOR:g}: mu3 overflows")
+    if _dkappa_margin(c, c * h, s) <= 0.0:
         return RootsAtKappa(mu1, None, None, in_region_Dkappa=False)
     f = lambda z: eval_char(z, c, h, s)
+    zpk = _critical_point(c, c * h, s, -1)
+    if f(zpk) <= 0.0:
+        # the margin is positive by rounding alone: one double root at the peak
+        return RootsAtKappa(mu1, zpk, zpk, True)
     mu2 = brentq(f, zpk, -1e-15, xtol=_XTOL, rtol=_RTOL)
     lo = zpk
     while f(lo) > 0.0:
@@ -263,30 +291,24 @@ def h_star(slope_kappa: float) -> float:
 def c_kappa_curve(h: float, params: ModelParams) -> float:
     """Upper boundary of the three-real-roots region for h > h_star.
 
-    Solves the implicit relation
+    The zero in c of _dkappa_margin(c, c h, g'(kappa)), i.e. of
 
-        (2 + S) / (e c^2 h^2 |g'(kappa)|) = exp((S - c^2 h)/2),
+        (2 + S) e^{(c^2 h - S)/2} = e c^2 h^2 |g'(kappa)|,
         S = sqrt(c^4 h^2 + 4 c^2 h^2 + 4),
 
-    in log form by bracketed bisection in c.  The returned speed agrees with
-    the double-negative-root system chi_kappa(mu) = chi_kappa'(mu) = 0 to
-    well below the 1e-10 contract (the tests cross-check this).
+    by bracketed bisection.  It agrees with the double-negative-root system
+    chi_kappa(mu) = chi_kappa'(mu) = 0 well below the 1e-10 contract.
     """
-    a = abs(params.slope_kappa)
     hs = h_star(params.slope_kappa)
     if h <= hs:
         raise DomainError(f"c_kappa_curve is defined for h > h_star = {hs:.6g}")
-
-    def G(c):
-        S = np.sqrt(c**4 * h * h + 4.0 * c * c * h * h + 4.0)
-        return np.log((2.0 + S) / (np.e * c * c * h * h * a)) - (S - c * c * h) / 2.0
-
+    G = lambda c: _dkappa_margin(c, c * h, params.slope_kappa)
     lo, hi = 1e-9, 1.0
     while G(hi) > 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise AccuracyError("no upper bracket for the c_kappa relation")
-    return brentq(G, lo, hi, xtol=1e-14, rtol=_RTOL)
+    return brentq(G, lo, hi, xtol=1e-300, rtol=_RTOL)
 
 
 # -- contour certification ---------------------------------------------------

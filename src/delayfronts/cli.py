@@ -113,19 +113,7 @@ def _cmd_toy(args) -> int:
         pairs.append(("h_pushed_to_pulled", toyfront.pushed_to_pulled_delay(args.k)))
         pairs.append(("h_oscillation", toyfront.oscillation_threshold(args.k)))
     if args.limits:
-        lq = toyfront.limit_quantities(args.k)
-        pairs += [
-            ("w_plus", lq.w_plus),
-            ("rho", lq.rho),
-            ("lambda_inf", lq.lambda_inf),
-            ("mu_inf", lq.mu_inf),
-            ("T1_inf", lq.T1_inf),
-            ("w_minus", lq.w_minus),
-            ("rho_hat", lq.rho_hat),
-            ("lambda_hat_inf", lq.lambda_hat_inf),
-            ("mu_hat_inf", lq.mu_hat_inf),
-            ("T2_inf", lq.T2_inf),
-        ]
+        pairs += vars(toyfront.limit_quantities(args.k)).items()  # in field order
     _print_kv(pairs)
     return 0
 
@@ -150,6 +138,7 @@ def _cmd_profile(args) -> int:
         "lambda1": prof.lambda1,
         "lambda2": prof.lambda2,
         "classification": prof.classification,
+        "in_region_Dkappa": prof.in_region_Dkappa,
         "residual_max": prof.residual_max,
     }
     man.write_text("profile.json", json.dumps(header, indent=2) + "\n")

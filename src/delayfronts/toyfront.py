@@ -13,6 +13,13 @@ computes the minimal speed (one bracketed root of a convex function of
 q = c mu1), the amplitude, full profiles with structural diagnostics, the
 pushed-to-pulled and oscillation thresholds in the delay, and the
 large-delay limit quantities.
+
+With a = q h = c h mu1 the selection equation is linear in q:
+q(a) = [T^2 (1 + e^{-a}) + k e^{-Ta} - 1] / (T (1 - T)), T = (3-k)/4, with
+h = a/q, mu1 = sqrt(1 + q + e^{-a}), c = q/mu1.  As a runs over (0, a_max),
+a_max < ln((T^2 + k)/(1 - T^2))/T the zero of q, h rises from 0 to inf.
+Each threshold is one root in a: of G(a) = mu1 chi_0'(T mu1) (pushed while
+G > 0) or of P(a), with the sign of chi_kappa at its negative-axis peak.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from . import chareq
-from .chareq import ModelParams, h_star
+from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
 
 __all__ = [
@@ -50,7 +57,7 @@ _EPS = np.finfo(float).eps
 # could reach this size
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
-_SEARCH_CAP = 20.0
+_TOL = dict(xtol=1e-300, rtol=4 * _EPS)  # brentq to the last bits of the root
 
 
 def birth_rate(u, k: float):
@@ -90,13 +97,18 @@ def nondelay_minimal_speed(k: float) -> tuple[float, str]:
     return 2.0 * math.sqrt(k - 1.0), "pulled"
 
 
-def ratio_T(c: float, h: float, k: float) -> float:
-    """lambda1(c, h) / mu1(c, h); increasing in both c and h."""
-    params = ModelParams.toy(k)
-    r0 = chareq.roots_at_zero(c, h, params)
+def _tail_roots(c: float, h: float, k: float) -> tuple[float, float, float]:
+    """(lambda1, lambda2, mu1) at speed c; DomainError below the linear speed."""
+    r0 = chareq.roots_at_zero(c, h, ModelParams.toy(k))
     if not r0.exists:
         raise DomainError(f"c={c} is below the linear speed at h={h}")
-    return r0.lambda1 / chareq._mu1(c, h, params.slope_kappa)
+    return r0.lambda1, r0.lambda2, chareq._mu1(c, h, -1.0)  # g'(kappa) = -1
+
+
+def ratio_T(c: float, h: float, k: float) -> float:
+    """lambda1(c, h) / mu1(c, h); increasing in both c and h."""
+    lam1, _, mu1 = _tail_roots(c, h, k)
+    return lam1 / mu1
 
 
 def minimal_speed(h: float, k: float) -> tuple[float, str]:
@@ -124,7 +136,7 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
     F = lambda q: (
         T * T * (1.0 + q + math.exp(-q * h)) - T * q - 1.0 + k * math.exp(-T * q * h)
     )
-    q = brentq(F, 0.0, 2.0 * F0 / (T * (1.0 - T)), xtol=1e-300, rtol=4 * _EPS)
+    q = brentq(F, 0.0, 2.0 * F0 / (T * (1.0 - T)), **_TOL)
     mu1 = math.sqrt(1.0 + q + math.exp(-q * h))
     c = q / mu1
     if chareq.eval_char_dz(T * mu1, c, h, k) > 0.0:
@@ -135,41 +147,33 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
 def amplitude_p(c: float, h: float, k: float) -> float:
     """Amplitude of the slow tail mode of the normalized profile.
 
-        p = [(4 lam1/mu1 - (3-k)) / (1+k)] * (mu1 - lam2) / (lam1 - lam2)
+        p = [s / (1+k)] * (mu1 - lam2) / (lam1 - lam2),  s = 4 lam1/mu1 - (3-k)
 
-    Zero exactly at the pushed minimal speed; negative below it, which means
-    no wavefront and raises.  Near the linear speed lam1 -> lam2 makes the
-    formula 0/0-like, so a small gap is refused outright.
+    s is zero at the pushed minimal speed and negative below it (no
+    wavefront: raises); |s| <= 4e-12, i.e. |ratio_T - T| <= 1e-12, is
+    rounding and gives p = 0.0, before the second factor can amplify it.
+    As lam1 -> lam2 the formula turns 0/0-like: a gap under 1e-8 is refused.
     """
-    params = ModelParams.toy(k)
-    r0 = chareq.roots_at_zero(c, h, params)
-    if not r0.exists:
-        raise DomainError(f"c={c} is below the linear speed at h={h}")
-    lam1, lam2 = r0.lambda1, r0.lambda2
+    lam1, lam2, mu1 = _tail_roots(c, h, k)
     if abs(lam1 - lam2) < _CRITICAL_GAP:
         # 0/0-adjacent: the critical profile takes a different functional
         # form, which this builder deliberately does not extrapolate
         raise DomainError("too close to critical: lambda1 - lambda2 under 1e-8")
-    mu1 = chareq._mu1(c, h, params.slope_kappa)
-    p = (4.0 * lam1 / mu1 - (3.0 - k)) / (1.0 + k) * (mu1 - lam2) / (lam1 - lam2)
-    if p < -1e-12:
+    s = 4.0 * lam1 / mu1 - (3.0 - k)
+    if s < -4e-12:
         raise DomainError(
-            f"speed below minimal: amplitude p={p:.3e} < 0, no wavefront"
+            f"speed below minimal: selection factor {s:.3e} < 0, no wavefront"
         )
-    # exactly zero at the pushed minimal speed; sub-1e-12 values are rounding
-    return p if p >= 1e-12 else 0.0
+    if s <= 4e-12:
+        return 0.0
+    return s / (1.0 + k) * (mu1 - lam2) / (lam1 - lam2)
 
 
 def junction_derivative(c: float, h: float, k: float) -> float:
     """Closed-form profile slope at the junction, (1+k) phi'(-ch) =
     (3-k)(mu1 - lam1 - lam2) + 4 lam1 lam2 / mu1.  Positive for every
     admissible speed."""
-    params = ModelParams.toy(k)
-    r0 = chareq.roots_at_zero(c, h, params)
-    if not r0.exists:
-        raise DomainError(f"c={c} is below the linear speed at h={h}")
-    lam1, lam2 = r0.lambda1, r0.lambda2
-    mu1 = chareq._mu1(c, h, params.slope_kappa)
+    lam1, lam2, mu1 = _tail_roots(c, h, k)
     return ((3.0 - k) * (mu1 - lam1 - lam2) + 4.0 * lam1 * lam2 / mu1) / (1.0 + k)
 
 
@@ -182,7 +186,10 @@ class WaveProfile:
     delayed linear equation phi'' - c phi' - phi + 4 - phi(t-ch) = 0 on
     [0, terminal_time] by one-step RK4 with Hermite-interpolated delayed
     values.  classification is "oscillatory" when phi - 2 changes sign more
-    than once on the numeric segment.  residual_max is the worst scaled
+    than once on the numeric segment, which can end before a slow
+    oscillation shows; in_region_Dkappa (two negative roots of chi_kappa
+    at c) is the spectral class: outside it the front oscillates around 2.
+    residual_max is the worst scaled
     equation residual |R|/(1+|phi|) from independent five-point stencils
     (windows of 2.5 steps around the derivative kinks at t = 0, ch, 2ch are
     excluded; the analytic tail satisfies the equation identically).
@@ -204,6 +211,7 @@ class WaveProfile:
     residual_max: float
     classification: str
     sign_changes: int
+    in_region_Dkappa: bool
     settle_window: tuple[float, float]
     settle_offset: float
 
@@ -302,10 +310,7 @@ def build_profile(
     below 1e-6.
     """
     p = amplitude_p(c, h, k)
-    params = ModelParams.toy(k)
-    r0 = chareq.roots_at_zero(c, h, params)
-    lam1, lam2 = r0.lambda1, r0.lambda2
-    mu1 = chareq._mu1(c, h, params.slope_kappa)
+    lam1, lam2, mu1 = _tail_roots(c, h, k)
     ch = c * h
 
     if h > 0.0:
@@ -374,6 +379,7 @@ def build_profile(
         residual_max=residual_max,
         classification=classification,
         sign_changes=changes,
+        in_region_Dkappa=chareq._dkappa_margin(c, ch, -1.0) > 0.0,
         settle_window=(0.5 * t[-1], t[-1]),
         settle_offset=settle,
     )
@@ -467,18 +473,12 @@ def limit_quantities(k: float) -> LimitQuantities:
     w_plus = float(-2.0 - lambertw(-2.0 / (k * np.e**2), -1).real)
     rho = math.sqrt(w_plus * (2.0 + w_plus))
     lambda_inf = math.sqrt(1.0 + 1.0 / rho**2) - 1.0 / rho
-    mu_inf = brentq(
-        lambda mq: mq * mq - 1.0 - np.exp(-mq * rho), 1.0, 50.0, xtol=1e-15, rtol=rtol
-    )
+    # the positive root of mu^2 - 1 = e^{-mu r}
+    mu_of = lambda r: brentq(lambda mq: mq * mq - 1.0 - np.exp(-mq * r), 1.0, 50.0,
+                             xtol=1e-15, rtol=rtol)
     w_minus = float(-2.0 - lambertw(2.0 / np.e**2).real)
     rho_hat = math.sqrt(w_minus * (2.0 + w_minus))
-    mu_hat = brentq(
-        lambda mq: mq * mq - 1.0 - np.exp(-mq * rho_hat),
-        1.0,
-        50.0,
-        xtol=1e-15,
-        rtol=rtol,
-    )
+    mu_inf, mu_hat = mu_of(rho), mu_of(rho_hat)
     # f_hat is chi at c = 0, delay product rho_hat: its minimum is closed-form
     f_hat = lambda z: z * z - 1.0 + k * np.exp(-rho_hat * z)
     z_min = chareq._critical_point(0.0, rho_hat, k, 0)
@@ -499,67 +499,53 @@ def limit_quantities(k: float) -> LimitQuantities:
     )
 
 
-def _T1(h: float, k: float) -> float:
-    """Selection ratio along the linear-speed curve (lambda1 is the double root)."""
-    c_sharp, z_dbl = chareq.double_root_speed(h, k)
-    mu1 = chareq._mu1(c_sharp, h, -1.0)  # the toy model's g'(kappa)
-    return z_dbl / mu1
+def _pushed_branch(a: float, k: float) -> tuple[float, float, float, float]:
+    """(q, h, mu1, c) at a = c h mu1 on the pushed candidate curve; h = inf at q = 0."""
+    T = (3.0 - k) / 4.0
+    q = (T * T * (1.0 + math.exp(-a)) + k * math.exp(-T * a) - 1.0) / (T * (1.0 - T))
+    mu1 = math.sqrt(1.0 + q + math.exp(-a))
+    return q, (a / q if q > 0.0 else math.inf), mu1, q / mu1
+
+
+def _pushed_slope(a: float, k: float) -> float:
+    """G(a) = mu1 chi_0'(T mu1): positive while the front is pushed."""
+    T = (3.0 - k) / 4.0
+    q = _pushed_branch(a, k)[0]
+    return 2.0 * T * (1.0 + q + math.exp(-a)) - q - k * a * math.exp(-T * a)
+
+
+def _pushed_end(k: float) -> tuple[float, bool]:
+    """(a_p, True) at the one sign change of G on (0, a_max), else (a_max, False);
+    G(0+) > 0 for k < 5/3, and q's zero a_max is bracketed in closed form."""
+    if not 1.0 < k < 5.0 / 3.0:
+        raise DomainError("the pushed-branch thresholds need k in (1, 5/3)")
+    T = (3.0 - k) / 4.0
+    bound = math.log((T * T + k) / (1.0 - T * T)) / T
+    a_max = brentq(lambda a: _pushed_branch(a, k)[0], 0.0, bound, **_TOL)
+    if _pushed_slope(a_max, k) >= 0.0:
+        return a_max, False
+    return brentq(_pushed_slope, 0.0, a_max, args=(k,), **_TOL), True
 
 
 def pushed_to_pulled_delay(k: float) -> float:
-    """Smallest delay at which the minimal front stops being pushed.
-
-    Found by bisecting T1(h) = (3-k)/4 (T1 is numerically increasing);
-    +inf when even the large-delay limit T1_inf stays below the target,
-    so the front is pushed for every delay.
-    """
-    if not 1.0 < k < 5.0 / 3.0:
-        raise DomainError("pushed_to_pulled_delay needs k in (1, 5/3)")
-    target = (3.0 - k) / 4.0
-    if limit_quantities(k).T1_inf < target:
-        return math.inf
-    lo, hi = 1e-9, 0.5
-    while _T1(hi, k) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > _SEARCH_CAP:
-            return math.inf
-    return brentq(lambda h: _T1(h, k) - target, lo, hi, xtol=1e-300, rtol=4 * _EPS)
+    """Smallest delay at which the minimal front stops being pushed: h(a_p),
+    or +inf when G keeps its sign and the front is pushed for every delay."""
+    a, pulled = _pushed_end(k)
+    return _pushed_branch(a, k)[1] if pulled else math.inf
 
 
-def _T2(h: float, k: float) -> float | None:
-    """Selection ratio along the region boundary; None past the curve crossing."""
-    params = ModelParams.toy(k)
-    ck = chareq.c_kappa_curve(h, params)
-    r0 = chareq.roots_at_zero(ck, h, params)
-    if not r0.exists:
-        return None
-    return r0.lambda1 / chareq._mu1(ck, h, params.slope_kappa)
-
-
-def oscillation_threshold(k: float, cap: float = _SEARCH_CAP) -> float | None:
+def oscillation_threshold(k: float) -> float | None:
     """Delay beyond which the minimal front oscillates around the equilibrium.
 
-    Solves T2(h) = (3-k)/4 along the region boundary, scanning h upward
-    from just above h_star.  Returns None when no crossing exists below the
-    cap (either T2 never reaches the target or the boundary curve crosses
-    the linear-speed curve first).
+    h at the one root of P on (0, a_end), a_end = a_p or a_max (P(0) = 4/e);
+    None when P(a_end) > 0: the front turns pulled, or stays pushed for
+    every delay, inside D_kappa.
     """
-    if not 1.0 < k < 5.0 / 3.0:
-        raise DomainError("oscillation_threshold needs k in (1, 5/3)")
-    hs = h_star(-1.0)
-    target = (3.0 - k) / 4.0
-    h = hs * 1.02
-    v = _T2(h, k)
-    if v is None or v <= target:
+    def P(a):  # positive while c lies in D_kappa
+        _, _, mu1, c = _pushed_branch(a, k)
+        return chareq._dkappa_margin(c, a / mu1, -1.0)
+
+    a_end = _pushed_end(k)[0]
+    if P(a_end) > 0.0:
         return None
-    step = 0.1
-    while h < cap:
-        h2 = min(h + step, cap)
-        v2 = _T2(h2, k)
-        if v2 is None:
-            return None
-        if v2 <= target:
-            return brentq(lambda x: _T2(x, k) - target, h, h2, xtol=1e-9)
-        h = h2
-    return None
+    return _pushed_branch(brentq(P, 0.0, a_end, **_TOL), k)[1]

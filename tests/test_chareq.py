@@ -13,7 +13,7 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
 )
-from delayfronts.chareq import _critical_point, eval_char_dz
+from delayfronts.chareq import _critical_point, _dkappa_margin, eval_char_dz
 
 from conftest import sample_dkappa
 
@@ -156,6 +156,49 @@ class TestRootsAtKappa:
         assert not r.in_region_Dkappa
         assert r.mu2 is None and r.mu3 is None
 
+    @pytest.mark.parametrize("h", [1e-80, 1e-150, 1e-200])
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_tiny_delay_product_is_domain_error(self, c, h):
+        # mu3 ~ -2 ln(1/(ch))/(ch) cannot be bracketed in float range
+        with pytest.raises(DomainError):
+            roots_at_kappa(c, h, ModelParams.toy(1.5))
+
+    def test_consistent_within_rounding_of_boundary(self, toy12):
+        # the margin decides membership; where it is positive by rounding
+        # alone the negative roots come back as one double root
+        for h in (0.5, 1.8, 3.8, 8.3):
+            ck = c_kappa_curve(h, toy12)
+            for j in range(-40, 41):
+                c = ck * (1.0 + j * 2e-16)
+                r = roots_at_kappa(c, h, toy12)
+                assert r.in_region_Dkappa == (_dkappa_margin(c, c * h, -1.0) > 0.0)
+                if r.in_region_Dkappa:
+                    assert r.mu3 <= r.mu2 < 0.0
+                    for mu in (r.mu2, r.mu3):
+                        assert abs(eval_char(mu, c, h, -1.0)) < 1e-10
+
+    def test_against_mpmath_roots(self, toy12):
+        # the 1e-10 residual contracts of both root solvers, at 50 digits
+        rng = np.random.default_rng(5)
+        for c, h in sample_dkappa(rng, 20):
+            rk = roots_at_kappa(c, h, toy12)
+            r0 = roots_at_zero(c, h, toy12)
+            with mpmath.workdps(50):
+                cc, hh = mpmath.mpf(c), mpmath.mpf(h)
+                chi = lambda z, s: z * z - cc * z - 1 + s * mpmath.exp(-z * cc * hh)
+                dchi = lambda z, s: 2 * z - cc - s * cc * hh * mpmath.exp(-z * cc * hh)
+                found = [(rk.mu1, -1), (rk.mu2, -1), (rk.mu3, -1)]
+                if r0.exists:
+                    found += [(r0.lambda1, 1.2), (r0.lambda2, 1.2)]
+                else:
+                    # chi_0 stays positive: its minimum, a zero of chi_0'
+                    zmin = mpmath.findroot(lambda z: dchi(z, 1.2), c / 2)
+                    assert chi(zmin, 1.2) > 0, (c, h)
+                for z, s in found:
+                    exact = mpmath.findroot(lambda x: chi(x, s), mpmath.mpf(z))
+                    assert abs(chi(mpmath.mpf(z), s)) < 1e-10, (c, h, z)
+                    assert abs(z - exact) < 1e-10 * max(1.0, abs(z)), (c, h, z)
+
     def test_underflow_small_delay_is_inside(self, toy12):
         c, h = 2000.0, 1e-3
         r = roots_at_kappa(c, h, toy12)
@@ -164,6 +207,29 @@ class TestRootsAtKappa:
         assert r.mu3 <= r.mu2 < 0.0 < r.mu1
         for mu in (r.mu1, r.mu2, r.mu3):
             assert abs(eval_char(mu, c, h, -1.0)) < 1e-10
+
+
+class TestDkappaMargin:
+    def test_closed_form_limits(self):
+        assert _dkappa_margin(0.7, 0.0, -1.0) == pytest.approx(4.0 / np.e, abs=1e-15)
+        for c in (0.5, 2.0):  # finite where roots_at_kappa must refuse
+            assert _dkappa_margin(c, c * 1e-200, -1.0) == pytest.approx(4.0 / np.e)
+
+    def test_sign_is_the_peak_value_of_chi(self):
+        # positive exactly when chi has a peak left of 0 that is above 0
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            c, h = 10 ** rng.uniform(-2, 1.5), 10 ** rng.uniform(-3, 1.5)
+            s = -(10 ** rng.uniform(-1, 1))
+            zpk = _critical_point(c, c * h, s, -1)
+            peak = zpk is not None and zpk < 0.0 and eval_char(zpk, c, h, s) > 0.0
+            assert (_dkappa_margin(c, c * h, s) > 0.0) == peak, (c, h, s)
+
+    def test_vanishes_on_region_boundary(self, toy12):
+        for h in (0.5, 1.0, 5.0, 50.0):
+            ck = c_kappa_curve(h, toy12)
+            assert _dkappa_margin(ck * (1 - 1e-9), ck * (1 - 1e-9) * h, -1.0) > 0.0
+            assert _dkappa_margin(ck * (1 + 1e-9), ck * (1 + 1e-9) * h, -1.0) < 0.0
 
 
 class TestCriticalPoint:

@@ -27,6 +27,10 @@ class TestRoots:
         assert kv["mu3"] == ""
         assert kv["in_region_Dkappa"] == "true"
 
+    def test_tiny_delay_product_is_domain_error(self, capsys):
+        assert main(["roots", "--k", "1.5", "--c", "0.5", "--h", "1e-150"]) == 1
+        assert "domain error" in capsys.readouterr().err
+
 
 class TestToy:
     def test_minimal_speed_row(self, capsys):
@@ -46,6 +50,15 @@ class TestToy:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["h_pushed_to_pulled"]) == pytest.approx(0.3379, abs=1e-3)
         assert kv["h_oscillation"] == ""
+
+    @pytest.mark.parametrize("k,h_p,h_osc", [("1.36", "20.1276", "1.94062"),
+                                             ("1.4", "1.86943", "1.75969")])
+    def test_transitions_past_former_scan_limits(self, capsys, k, h_p, h_osc):
+        # h_p beyond h = 20, and a pushed speed that leaves D_kappa in a
+        # window narrower than a 0.1 step in h
+        assert main(["toy", "--k", k, "--transitions"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert (kv["h_pushed_to_pulled"], kv["h_oscillation"]) == (h_p, h_osc)
 
 
 class TestCurves:
@@ -109,6 +122,7 @@ class TestProfileKernelSimulate:
         assert main(["profile", "--k", "1.2", "--h", "0.5", "--out", str(out)]) == 0
         header = json.loads((out / "profile.json").read_text())
         assert header["classification"] == "monotone"
+        assert header["in_region_Dkappa"] is True
         assert header["c"] == pytest.approx(0.6561, abs=1e-3)
         body = (out / "profile.csv").read_text().strip().split("\n")
         assert body[0] == "t,phi,dphi"

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from delayfronts import (
     DomainError,
+    chareq,
     ModelParams,
     amplitude_p,
     build_profile,
@@ -20,8 +21,16 @@ from delayfronts import (
     ratio_T,
     roots_at_kappa,
     roots_at_zero,
+    sample_curves,
 )
-from delayfronts.toyfront import _delay_rk4, fit_tail_exponent, junction_derivative
+from delayfronts.toyfront import (
+    _delay_rk4,
+    _pushed_branch,
+    _pushed_end,
+    _pushed_slope,
+    fit_tail_exponent,
+    junction_derivative,
+)
 
 
 class TestNondelayMinimalSpeed:
@@ -124,7 +133,7 @@ class TestMinimalSpeed:
                 exact = mpmath.findroot(system, (T * mu, mu, c))[2]
                 assert float(abs(c - exact) / exact) <= 2e-15, (k, h)
 
-    @pytest.mark.parametrize("k", [1.4, 1.5, 1.6, 1.66])
+    @pytest.mark.parametrize("k", [1.36, 1.4, 1.5, 1.6, 1.66])
     def test_regime_flips_at_transition_delay(self, k):
         h_p = pushed_to_pulled_delay(k)
         assert minimal_speed(h_p * (1.0 - 1e-9), k)[1] == "pushed"
@@ -188,6 +197,19 @@ class TestAmplitude:
         bound = (mu1 - r0.lambda2) / (r0.lambda1 - r0.lambda2)
         assert p <= bound * (1.0 + 1e-12)
         assert p / bound > 0.999
+
+    @pytest.mark.parametrize("k", [1.4, 1.5, 1.6])
+    def test_exactly_zero_at_pushed_speed_up_to_transition(self, k):
+        # the dead band sits on the selection factor, so the amplification
+        # (mu1 - lam2)/(lam1 - lam2) as lam1 -> lam2 near h_p cannot push
+        # rounding past it
+        for h in np.linspace(0.0, pushed_to_pulled_delay(k), 200, endpoint=False):
+            c, regime = minimal_speed(h, k)
+            assert regime == "pushed"
+            assert amplitude_p(c, h, k) == 0.0, h
+            assert amplitude_p(c * (1.0 + 1e-6), h, k) > 0.0, h
+            with pytest.raises(DomainError):
+                amplitude_p(c * (1.0 - 1e-6), h, k)
 
     def test_below_minimal_is_rejected(self):
         c_star, _ = minimal_speed(0.5, 1.2)
@@ -341,6 +363,15 @@ class TestBuildProfile:
         with pytest.raises(DomainError):
             build_profile(0.5, 0.5, 1.2)
 
+    @pytest.mark.parametrize("k", [1.2, 1.4])
+    def test_spectral_class_flips_at_oscillation_threshold(self, k):
+        # at k = 1.4 the window ends before the slow oscillation shows, so
+        # the sign count alone would call both profiles monotone
+        h_osc = oscillation_threshold(k)
+        for h, inside in ((h_osc * (1.0 - 1e-6), True), (h_osc * (1.0 + 1e-6), False)):
+            c, _ = minimal_speed(h, k)
+            assert build_profile(c, h, k).in_region_Dkappa is inside
+
 
 class TestLimitQuantities:
     def test_k_15_reference_values(self):
@@ -399,15 +430,76 @@ class TestLimitQuantities:
         assert limit_quantities(1.5).T2_inf is None
 
 
-class TestTransitions:
-    def test_selection_ratio_along_linear_speed_increases(self):
-        # monotonicity of T1 is only observed numerically; the transition
-        # searches bracket before bisecting and do not rely on it
-        from delayfronts.toyfront import _T1
+def _peak_sign(a, k):
+    """P(a) of oscillation_threshold: positive while c(a) lies in D_kappa."""
+    _, _, mu1, c = _pushed_branch(a, k)
+    return chareq._dkappa_margin(c, a / mu1, -1.0)
 
-        hs = np.linspace(0.0, 5.0, 25)
-        vals = [_T1(h, 1.35) for h in hs]
-        assert np.all(np.diff(vals) > 0)
+
+def _mp_transition(k, h_osc):
+    """50-digit transition delay of the pushed front: chi_0 at lam, chi_kappa
+    at mu and lam = T mu, plus a double root of chi_0 at lam (h_p) or a
+    double negative root nu of chi_kappa (h_osc)."""
+    if h_osc:
+        a = brentq(_peak_sign, 0.0, _pushed_end(k)[0], args=(k,))
+    else:
+        a = _pushed_end(k)[0]
+    _, h, mu1, c = _pushed_branch(a, k)
+    with mpmath.workdps(50):
+        K = mpmath.mpf(k)
+        T = (3 - K) / 4
+        chi = lambda z, c, h, s: z * z - c * z - 1 + s * mpmath.exp(-z * c * h)
+        dchi = lambda z, c, h, s: 2 * z - c - s * c * h * mpmath.exp(-z * c * h)
+        common = lambda lam, mu, c, h: [chi(lam, c, h, K), chi(mu, c, h, -1),
+                                        lam - T * mu]
+        if h_osc:
+            nu = chareq._critical_point(c, c * h, -1.0, -1)
+            system = lambda lam, mu, c, h, nu: common(lam, mu, c, h) + [
+                chi(nu, c, h, -1), dchi(nu, c, h, -1)]
+            start = (float(T) * mu1, mu1, c, h, nu)
+        else:
+            system = lambda lam, mu, c, h: common(lam, mu, c, h) + [dchi(lam, c, h, K)]
+            start = (float(T) * mu1, mu1, c, h)
+        return float(mpmath.findroot(system, start)[3])
+
+
+class TestTransitions:
+    def test_pushed_branch_premises(self):
+        # for k = 1.01 ... 1.66: the closed-form bound brackets a_max, h(a)
+        # rises from 0 to inf, and G and P change sign at most once on
+        # (0, a_max), so each transition is one bracketed root
+        for k in np.round(np.arange(1.01, 1.665, 0.01), 2):
+            T = (3.0 - k) / 4.0
+            a_max = brentq(lambda a: _pushed_branch(a, k)[0], 0.0,
+                           np.log((T * T + k) / (1.0 - T * T)) / T, xtol=1e-300)
+            a = np.linspace(0.0, a_max, 2001)[:-1]
+            h = [_pushed_branch(x, k)[1] for x in a]
+            assert h[0] == 0.0 and np.all(np.diff(h) > 0.0), k
+            assert _pushed_branch(a_max * (1 + 1e-12), k)[1] == np.inf, k
+            for f in (_pushed_slope, _peak_sign):
+                signs = np.sign([f(x, k) for x in a])
+                assert np.count_nonzero(np.diff(signs)) <= 1, (k, f.__name__)
+
+    @pytest.mark.parametrize("k", [1.36, 1.4, 1.5, 1.6, 1.66])
+    def test_pushed_to_pulled_against_mpmath(self, k):
+        exact = _mp_transition(k, h_osc=False)
+        assert abs(pushed_to_pulled_delay(k) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("k", [1.05, 1.2, 1.33, 1.4])
+    def test_oscillation_threshold_against_mpmath(self, k):
+        exact = _mp_transition(k, h_osc=True)
+        assert abs(oscillation_threshold(k) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("k", [1.2, 1.33, 1.4, 1.5])
+    def test_transitions_match_curve_sweep(self, k):
+        params = ModelParams.toy(k)
+        h_osc, h_p = oscillation_threshold(k), pushed_to_pulled_delay(k)
+        if h_osc is not None:
+            rows = sample_curves([h_osc * (1 - 1e-6), h_osc * (1 + 1e-6)], params)
+            assert [r.monotone_front for r in rows] == [True, False]
+        if h_p != np.inf:
+            rows = sample_curves([h_p * (1 - 1e-9), h_p * (1 + 1e-9)], params)
+            assert [r.regime for r in rows] == ["pushed", "pulled"]
 
     def test_pushed_to_pulled_at_k15(self):
         assert pushed_to_pulled_delay(1.5) == pytest.approx(0.3379, abs=1e-3)
