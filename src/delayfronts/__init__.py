@@ -15,7 +15,7 @@ from .chareq import (
     RootsAtKappa,
     RootsAtZero,
     c_kappa_curve,
-    count_zeros_rectangle,
+    count_zeros_right_of,
     double_root_speed,
     eval_char,
     h_star,
@@ -60,7 +60,7 @@ __all__ = [
     "c_bound_curve",
     "c_kappa_curve",
     "cn_step",
-    "count_zeros_rectangle",
+    "count_zeros_right_of",
     "double_root_speed",
     "estimate_speed",
     "eval_char",

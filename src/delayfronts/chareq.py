@@ -14,7 +14,10 @@ is about locating those zeros: the two positive roots at the unstable
 state (s > 1), the three real roots at the positive state (s < 0), the
 double-root systems that define the critical speed curves, and a contour
 count certifying that no complex zero sneaks to the right of the real
-ones.
+ones.  That count covers the half-plane Re z > re_lo: no zero there has
+|z| > R = (c + sqrt(c^2 + 4(1 + |s| e^{-re_lo c h})))/2, and on the
+outer edges of [re_lo, R+1] x [-(R+1), R+1] |chi| > 1, so only the left
+edge can meet a zero.
 
 The real turning points of chi are Lambert W closed forms (_critical_point).
 They bracket the real roots, decide whether those exist, and give the
@@ -43,7 +46,7 @@ __all__ = [
     "double_root_speed",
     "h_star",
     "c_kappa_curve",
-    "count_zeros_rectangle",
+    "count_zeros_right_of",
 ]
 
 # Bracketed roots are bisected to this x-tolerance, then Newton-polished.
@@ -61,30 +64,26 @@ class ModelParams:
     """Slopes and equilibria of the birth law.
 
     slope_zero is g'(0) (must exceed 1 for the monostable setting),
-    slope_kappa is g'(kappa) < 0, kappa the positive equilibrium and
-    theta_junction the maximum point of the piecewise birth law.  The
-    piecewise-linear model is the instance (k, 2, -1, 1) with k in (1, 3).
+    slope_kappa is g'(kappa) < 0 and kappa the positive equilibrium.  The
+    piecewise-linear model is the instance (k, -1, 2) with k in (1, 3).
     """
 
     slope_zero: float
     slope_kappa: float = -1.0
     kappa: float = 2.0
-    theta_junction: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.slope_zero > 1.0:
             raise DomainError(f"slope_zero must exceed 1, got {self.slope_zero}")
         if not self.slope_kappa < 0.0:
             raise DomainError(f"slope_kappa must be negative, got {self.slope_kappa}")
-        if not 0.0 < self.theta_junction < self.kappa:
-            raise DomainError("theta_junction must lie in (0, kappa)")
 
     @classmethod
     def toy(cls, k: float) -> "ModelParams":
         """The piecewise-linear model: g(u) = k*u below 1, 4 - u above."""
         if not 1.0 < k < 3.0:
             raise DomainError(f"toy model needs k in (1, 3), got {k}")
-        return cls(slope_zero=k, slope_kappa=-1.0, kappa=2.0, theta_junction=1.0)
+        return cls(slope_zero=k, slope_kappa=-1.0, kappa=2.0)
 
 
 @dataclass(frozen=True)
@@ -366,40 +365,35 @@ def _edge_integral(c, h, slope, a, b, tol):
     return acc + np.sum(0.5 * (fa + fb) * (bz - az))
 
 
-def count_zeros_rectangle(
-    c: float,
-    h: float,
-    slope: float,
-    re_lo: float,
-    re_hi: float,
-    im_max: float,
-) -> int:
-    """Number of characteristic zeros inside a rectangle, by winding count.
+def count_zeros_right_of(c: float, h: float, slope: float, re_lo: float) -> int:
+    """Number of characteristic zeros with Re z > re_lo, by winding count.
 
-    Integrates chi'/chi around [re_lo, re_hi] x [-im_max, im_max]
-    counterclockwise with adaptive trapezoid panels and divides by 2*pi*i.
-    The quadrature tolerance tightens until the pre-rounding value sits
-    within 1e-3 of an integer.  If a zero lies on (or hugs) the contour the
-    rectangle is widened by 1e-6 steps, a bounded number of times.
+    With c h >= 0, Re z >= re_lo and |z| > R = (c + sqrt(c^2 + 4(1 + B)))/2,
+    B = |s| e^{-re_lo c h}: |z^2 - c z - 1| >= |z|^2 - c|z| - 1 > B >=
+    |s e^{-z c h}|, so [re_lo, R+1] x [-(R+1), R+1] holds every zero of the
+    half-plane, and |chi| >= 2R + 1 - c > 1 on its three outer edges: only
+    the left edge can meet a zero.  chi'/chi is integrated around it with
+    adaptive trapezoid panels, tightening the tolerance until the winding
+    number sits within 1e-3 of an integer.  A zero on (or hugging) the left
+    edge moves it left by 1e-6 steps, a bounded number of times; R is taken
+    at the leftmost edge.  c <= 0 or h < 0 raises DomainError.
     """
-    if not (re_lo < re_hi and im_max > 0.0):
-        raise DomainError("degenerate rectangle")
+    if c <= 0.0 or h < 0.0:
+        raise DomainError("count_zeros_right_of needs c > 0 and h >= 0")
+    B = abs(slope) * math.exp(-(re_lo - _MAX_NUDGES * _NUDGE) * c * h)
+    top = 1.0 + 0.5 * (c + math.sqrt(c * c + 4.0 * (1.0 + B)))  # R + 1
+    if re_lo >= top:
+        return 0
     for nudge in range(_MAX_NUDGES + 1):
         lo = re_lo - nudge * _NUDGE
-        hi = re_hi + nudge * _NUDGE
-        corners = [
-            complex(lo, -im_max),
-            complex(hi, -im_max),
-            complex(hi, im_max),
-            complex(lo, im_max),
-            complex(lo, -im_max),
-        ]
+        corners = [complex(lo, -top), complex(top, -top),
+                   complex(top, top), complex(lo, top)]
         tol = 2e-4
         try:
             for _ in range(4):
                 total = sum(
                     _edge_integral(c, h, slope, a, b, tol)
-                    for a, b in zip(corners[:-1], corners[1:])
+                    for a, b in zip(corners, corners[1:] + corners[:1])
                 )
                 w = total / (2j * np.pi)
                 n = round(w.real)

@@ -52,14 +52,15 @@ class _Manifest:
     def write_csv(self, name: str, header: str, *columns) -> None:
         """Write equal-length columns as CSV rows under a header line.
 
-        Float columns get six significant digits, the cells _fmt writes;
-        other columns (integers) are written with str.
+        Float arrays get six significant digits in bulk; other columns
+        (which may mix floats, strings and None) go cell by cell through _fmt.
         """
         cells = []
         for col in columns:
-            col = np.asarray(col)
-            fmt = "{:.6g}".format if col.dtype.kind == "f" else str
-            cells.append(map(fmt, col.tolist()))
+            if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+                cells.append(map("{:.6g}".format, col.tolist()))
+            else:
+                cells.append(map(_fmt, col))
         self.write_text(name, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
     def finalize(self) -> None:
@@ -194,10 +195,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _table_row(h: float, k: float, t_end: float) -> tuple:
-    c_sharp, _ = chareq.double_root_speed(h, k)
-    c_star, _ = toyfront.minimal_speed(h, k)
-    cfg = pdesim.SimConfig(h=h, k=k, t_end=t_end)
-    c_ns = pdesim.run(cfg).c_ns
+    """(h, c_sharp, c_star, c_ns); a DomainError or AccuracyError becomes
+    (h, "error:<Type>: <msg>", None, None), as in curves.csv."""
+    try:
+        c_sharp, _ = chareq.double_root_speed(h, k)
+        c_star, _ = toyfront.minimal_speed(h, k)
+        c_ns = pdesim.run(pdesim.SimConfig(h=h, k=k, t_end=t_end)).c_ns
+    except (DomainError, AccuracyError) as exc:
+        return h, f"error:{type(exc).__name__}: {exc}", None, None
     return h, c_sharp, c_star, c_ns
 
 

@@ -57,6 +57,13 @@ _EPS = np.finfo(float).eps
 # could reach this size
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
+# build_profile's residual gate and the smallest step that can pass it: the
+# five-point phi'' sums phi values over 12 dt^2, so its round-off is of order
+# eps/(12 dt^2).  Measured residual * dt^2: 1.19-1.48 eps on full profiles
+# (k = 1.05-2.99, h = 0-6), down to 0.11 eps on windows t_max cuts to a few
+# nodes (passing at dt = 8e-6); below the floor, 4.3e-6, even that fails.
+_RESIDUAL_TOL = 1e-6
+_DT_FLOOR = math.sqrt(_EPS / (12.0 * _RESIDUAL_TOL))
 _TOL = dict(xtol=1e-300, rtol=4 * _EPS)  # brentq to the last bits of the root
 
 
@@ -177,6 +184,12 @@ def junction_derivative(c: float, h: float, k: float) -> float:
     return ((3.0 - k) * (mu1 - lam1 - lam2) + 4.0 * lam1 * lam2 / mu1) / (1.0 + k)
 
 
+def _tail(t, ch, p, lam1, lam2, order=0):
+    """d^order/dt^order of the tail p e^{lam2 (t+ch)} + (1-p) e^{lam1 (t+ch)}."""
+    s = np.asarray(t) + ch  # a numpy scalar for scalar t
+    return p * lam2**order * np.exp(lam2 * s) + (1 - p) * lam1**order * np.exp(lam1 * s)
+
+
 @dataclass
 class WaveProfile:
     """A front profile: analytic two-exponential tail plus numeric continuation.
@@ -217,18 +230,10 @@ class WaveProfile:
 
     def tail(self, t):
         """Analytic tail phi(t) for t <= 0."""
-        s = np.asarray(t) + self.c * self.h
-        out = self.p * np.exp(self.lambda2 * s) + (1.0 - self.p) * np.exp(
-            self.lambda1 * s
-        )
-        return out[()] if out.ndim == 0 else out
+        return _tail(t, self.c * self.h, self.p, self.lambda1, self.lambda2)
 
     def tail_deriv(self, t):
-        s = np.asarray(t) + self.c * self.h
-        out = self.p * self.lambda2 * np.exp(self.lambda2 * s) + (
-            1.0 - self.p
-        ) * self.lambda1 * np.exp(self.lambda1 * s)
-        return out[()] if out.ndim == 0 else out
+        return _tail(t, self.c * self.h, self.p, self.lambda1, self.lambda2, 1)
 
     def __call__(self, t):
         """Profile value anywhere: tail, linear interpolation, or the limit 2."""
@@ -307,7 +312,7 @@ def build_profile(
     step <= 1e-3 * max(1, 1/c); a user grid_step is snapped to the nearest
     exact divisor of ch.  Structural guarantees (checked, not assumed):
     phi < 3 everywhere, phi > 1 after the junction, scaled residual at or
-    below 1e-6.
+    below 1e-6; a step below _DT_FLOOR, too fine for that check, raises.
     """
     p = amplitude_p(c, h, k)
     lam1, lam2, mu1 = _tail_roots(c, h, k)
@@ -320,30 +325,23 @@ def build_profile(
     else:
         dt = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
         m = 0
+    if dt < _DT_FLOOR:  # round-off alone would fail the residual check
+        raise DomainError(f"profile step {dt:.3g} is below the floor {_DT_FLOOR:.2g}")
     T_stop = np.log(_UNSTABLE_TOL / _EPS) / mu1
     if t_max is not None:
         T_stop = min(T_stop, t_max)
     n = max(int(np.ceil(T_stop / dt)), 8)
 
-    one_minus_p = 1.0 - p
-
-    def tail(s):
-        return p * np.exp(lam2 * (s + ch)) + one_minus_p * np.exp(lam1 * (s + ch))
-
-    def tail_d(s):
-        return p * lam2 * np.exp(lam2 * (s + ch)) + one_minus_p * lam1 * np.exp(
-            lam1 * (s + ch)
-        )
-
+    tail = lambda s: _tail(s, ch, p, lam1, lam2)
     # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
     phi, v = _delay_rk4(
-        (0.0, 1.0, 1.0, c), -4.0, 1.0, tail(0.0), tail_d(0.0), dt, n, m,
-        lambda x: tail(x * dt),
+        (0.0, 1.0, 1.0, c), -4.0, 1.0, tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1),
+        dt, n, m, lambda x: tail(x * dt),
     )
     t = dt * np.arange(n + 1)
 
     residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)
-    if residual_max > 1e-6:
+    if residual_max > _RESIDUAL_TOL:
         raise AccuracyError(
             f"profile residual {residual_max:.2e} above 1e-6; use a smaller grid_step"
         )

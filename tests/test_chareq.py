@@ -6,13 +6,14 @@ from delayfronts import (
     DomainError,
     ModelParams,
     c_kappa_curve,
-    count_zeros_rectangle,
+    count_zeros_right_of,
     double_root_speed,
     eval_char,
     h_star,
     roots_at_kappa,
     roots_at_zero,
 )
+from delayfronts import chareq
 from delayfronts.chareq import _critical_point, _dkappa_margin, eval_char_dz
 
 from conftest import sample_dkappa
@@ -392,26 +393,52 @@ class TestCKappaCurve:
 class TestCountZeros:
     def test_rectangle_with_only_mu1(self, toy12):
         r = roots_at_kappa(0.5, 1.0, toy12)
-        n = count_zeros_rectangle(0.5, 1.0, -1.0, 0.5 * r.mu2, r.mu1 + 1.0, 10.0)
-        assert n == 1
+        assert count_zeros_right_of(0.5, 1.0, -1.0, 0.5 * r.mu2) == 1
 
     def test_rectangle_with_all_three(self, toy12):
         r = roots_at_kappa(0.5, 1.0, toy12)
-        n = count_zeros_rectangle(0.5, 1.0, -1.0, r.mu3 - 1e-4, r.mu1 + 1.0, 50.0)
-        assert n == 3
+        assert count_zeros_right_of(0.5, 1.0, -1.0, r.mu3 - 1e-4) == 3
 
-    def test_empty_region_certified_by_modulus_scan(self, toy12):
+    def test_empty_region_certified_by_modulus_scan(self, toy12, monkeypatch):
         c, h = 0.5, 1.0
         r = roots_at_kappa(c, h, toy12)
-        lo, hi, im = r.mu3 - 6.0, r.mu3 - 5.0, 1.0
-        re, ims = np.meshgrid(np.linspace(lo, hi, 80), np.linspace(-im, im, 80))
-        zs = re + 1j * ims
-        assert np.min(np.abs(eval_char(zs, c, h, -1.0))) > 1e-2  # oracle
-        assert count_zeros_rectangle(c, h, -1.0, lo, hi, im) == 0
+        lo = r.mu1 + 0.5
+        re, ims = np.meshgrid(np.linspace(lo, lo + 20.0, 200),
+                              np.linspace(-20.0, 20.0, 400))
+        assert np.min(np.abs(eval_char(re + 1j * ims, c, h, -1.0))) > 1e-2  # oracle
+        assert count_zeros_right_of(c, h, -1.0, lo) == 0
+
+        # right of R + 1 the bound alone answers, with no contour integral
+        def no_integral(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(chareq, "_edge_integral", no_integral)
+        assert count_zeros_right_of(c, h, -1.0, 10.0) == 0
+
+    def test_zero_on_the_left_edge_is_counted(self, toy12):
+        # chi(mu2) ~ 0 at the edge's real-axis node: the edge moves left
+        r = roots_at_kappa(0.5, 1.0, toy12)
+        assert count_zeros_right_of(0.5, 1.0, -1.0, r.mu2) == 2
+
+    @pytest.mark.parametrize("c,h", [(0.0, 1.0), (-0.5, 1.0), (0.5, -1.0)])
+    def test_domain_errors(self, c, h):
+        with pytest.raises(DomainError):
+            count_zeros_right_of(c, h, -1.0, -1.0)
 
     def test_random_draws_give_three(self, toy12):
         rng = np.random.default_rng(11)
         for c, h in sample_dkappa(rng, 20):
             r = roots_at_kappa(c, h, toy12)
-            n = count_zeros_rectangle(c, h, -1.0, r.mu3 - 1e-4, r.mu1 + 1.0, 50.0)
-            assert n == 3, (c, h)
+            assert count_zeros_right_of(c, h, -1.0, r.mu3 - 1e-4) == 3, (c, h)
+
+    def test_counts_zero_pairs_beyond_im_50(self):
+        # at (c, h, s) = (1, 2, -1) the count steps by two as re_lo passes
+        # each of two conjugate pairs whose imaginary parts exceed 50
+        chi = lambda z: z * z - z - 1 - mpmath.exp(-2 * z)
+        with mpmath.workdps(30):
+            pairs = [mpmath.findroot(chi, mpmath.mpc(-3.95, 51.75)),
+                     mpmath.findroot(chi, mpmath.mpc(-4.01, 54.9))]
+        assert complex(pairs[0]) == pytest.approx(-3.95034701 + 51.75053321j, abs=1e-8)
+        assert complex(pairs[1]) == pytest.approx(-4.00900475 + 54.89595172j, abs=1e-8)
+        counts = [count_zeros_right_of(1.0, 2.0, -1.0, x) for x in (-3.9, -4.0, -4.05)]
+        assert counts == [33, 35, 37]

@@ -1,9 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from delayfronts import kernels
+from delayfronts import AccuracyError, double_root_speed, kernels, pdesim, toyfront
 from delayfronts.cli import _Manifest, main
 from delayfronts.speedcurves import _fmt
 
@@ -115,6 +116,14 @@ class TestWriteCsv:
         assert (tmp_path / "edge.csv").read_text() == expected
         assert man.outputs == ["edge.csv"]
 
+    def test_error_cell_leaves_other_cells_alone(self, tmp_path):
+        # numpy would turn this column into strings and print 0.123456789 whole
+        man = _Manifest("test", {}, str(tmp_path))
+        man.write_csv("mixed.csv", "h,v,w", (0.5, 1.0), (0.123456789, "error:E: m"),
+                      (2.0 / 3.0, None))
+        text = (tmp_path / "mixed.csv").read_text()
+        assert text == "h,v,w\n0.5,0.123457,0.666667\n1,error:E: m,\n"
+
 
 class TestProfileKernelSimulate:
     def test_profile_outputs(self, tmp_path):
@@ -177,6 +186,29 @@ class TestProfileKernelSimulate:
         assert cst == pytest.approx(0.6562, abs=5e-4)
         assert cns == pytest.approx(0.6377, abs=0.02)
 
+    def test_table_row_failure_is_isolated(self, tmp_path, monkeypatch):
+        def flaky(cfg):
+            if cfg.h == 1.0:
+                raise AccuracyError("synthetic failure")
+            return SimpleNamespace(c_ns=0.123456789)
+
+        monkeypatch.setattr(pdesim, "run", flaky)
+        out = tmp_path / "tab"
+        assert main(["table", "--k", "1.2", "--rows", "0.5,1", "--out", str(out)]) == 0
+        lines = (out / "table.csv").read_text().split("\n")
+        c_sharp, c_star = double_root_speed(0.5, 1.2)[0], toyfront.minimal_speed(0.5, 1.2)[0]
+        assert lines[1] == f"0.5,{_fmt(c_sharp)},{_fmt(c_star)},0.123457"
+        assert lines[2] == "1,error:AccuracyError: synthetic failure,,"
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == ["table.csv"]
+
+    def test_table_unexpected_failure_propagates(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("synthetic bug")
+
+        monkeypatch.setattr(pdesim, "run", broken)
+        with pytest.raises(RuntimeError, match="synthetic bug"):
+            main(["table", "--k", "1.2", "--rows", "0.5", "--out", str(tmp_path)])
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -233,6 +265,16 @@ class TestExitCodes:
         assert main(["kernel", "--k", "1.2", "--c", "0.5", "--h", "1",
                      "--step", "0.125", "--out", str(tmp_path)]) == 2
         assert "accuracy error" in capsys.readouterr().err
+
+    def test_profile_step_below_floor_is_domain_error(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # refused before the RK4 loop: at dt = c h/16 it would need ~1e8 nodes
+        def no_integration(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(toyfront, "_delay_rk4", no_integration)
+        assert main(["profile", "--k", "1.2", "--h", "1e-6", "--out", str(tmp_path)]) == 1
+        assert "below" in capsys.readouterr().err
 
     def test_invalid_k_is_domain_error(self, capsys):
         assert main(["toy", "--k", "3.5"]) == 1

@@ -22,6 +22,7 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
     sample_curves,
+    toyfront,
 )
 from delayfronts.toyfront import (
     _delay_rk4,
@@ -371,6 +372,53 @@ class TestBuildProfile:
         for h, inside in ((h_osc * (1.0 - 1e-6), True), (h_osc * (1.0 + 1e-6), False)):
             c, _ = minimal_speed(h, k)
             assert build_profile(c, h, k).in_region_Dkappa is inside
+
+    def test_small_delay_above_step_floor_passes(self):
+        # dt = c h/16 = 2.2e-5, where the residual is round-off, 6.9e-7
+        c, _ = minimal_speed(3e-4, 1.2)
+        assert build_profile(c, 3e-4, 1.2).residual_max <= 1e-6
+
+    @pytest.mark.parametrize("h,grid_step", [(1e-6, None), (0.0, 4e-6), (0.5, 4e-6)])
+    def test_step_below_floor_refused_before_integrating(self, h, grid_step,
+                                                         monkeypatch):
+        def no_integration(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(toyfront, "_delay_rk4", no_integration)
+        c, _ = minimal_speed(h, 1.2)
+        with pytest.raises(DomainError, match="below"):
+            build_profile(c, h, 1.2, grid_step=grid_step)
+
+
+@st.composite
+def delay_pairs(draw):
+    """0 <= h1 < h2 <= 8, at least 1e-9 apart, so that the speeds move by
+    far more than the 4 eps relative tolerance of their root solves."""
+    h1 = draw(st.floats(0.0, 8.0 - 1e-9))
+    return h1, draw(st.floats(h1 + 1e-9, 8.0))
+
+
+class TestMonotonicityProperties:
+    """Acceptance test 09's claims over k in [1.01, 2.99], h in [0, 8]."""
+
+    @given(delay_pairs(), st.floats(1.01, 2.99))
+    def test_linear_speed_strictly_decreases(self, hs, k):
+        h1, h2 = hs
+        assert double_root_speed(h2, k)[0] < double_root_speed(h1, k)[0]
+
+    @given(delay_pairs(), st.floats(1.01, 2.99))
+    def test_minimal_speed_does_not_increase(self, hs, k):
+        h1, h2 = hs
+        assert minimal_speed(h2, k)[0] <= minimal_speed(h1, k)[0]
+
+    @given(delay_pairs(), st.floats(1.01, 2.99), st.floats(1e-9, 2.0),
+           st.floats(1e-9, 2.0))
+    def test_ratio_T_increases_in_c_and_h(self, hs, k, f, g):
+        # above c_sharp(h1) > c_sharp(h2), lambda1 exists at both delays
+        h1, h2 = hs
+        c = double_root_speed(h1, k)[0] * (1.0 + f)
+        assert ratio_T(c * (1.0 + g), h1, k) > ratio_T(c, h1, k)
+        assert ratio_T(c, h2, k) > ratio_T(c, h1, k)
 
 
 class TestLimitQuantities:
