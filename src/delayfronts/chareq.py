@@ -57,6 +57,10 @@ _NEWTON_POLISH = 3
 # scan of c h in 0.01-decade steps first failed at 2.3e-76, where the doubled
 # mu3 bracket overflows exp (then brentq and _critical_point's log fail).
 _TAU_FLOOR = 1e-70
+# double_root_speed refuses delays above this: its speed falls like ln(h)/h,
+# brentq needs ~log2(h) + 52 halvings from c0 to reach it, and its default 100
+# ran out from h ~ 6e27 on (slopes in (1, 3)).
+_H_MAX = 1e20
 
 
 @dataclass(frozen=True)
@@ -109,18 +113,18 @@ class RootsAtKappa:
     in_region_Dkappa: bool
 
 
-def eval_char(z, c, h, slope, constant_shift=-1.0):
-    """Evaluate z**2 - c*z + constant_shift + slope*exp(-z*c*h).
+def eval_char(z, c, h, slope):
+    """Evaluate z**2 - c*z - 1 + slope*exp(-z*c*h).
 
     Accepts scalars or arrays, real or complex.
     """
     z = np.asarray(z)
-    out = z * z - c * z + constant_shift + slope * np.exp(-z * c * h)
+    out = z * z - c * z - 1.0 + slope * np.exp(-z * c * h)
     return out[()] if out.ndim == 0 else out
 
 
 def eval_char_dz(z, c, h, slope):
-    """d/dz of eval_char (the constant shift drops out)."""
+    """d/dz of eval_char."""
     z = np.asarray(z)
     out = 2.0 * z - c - slope * c * h * np.exp(-z * c * h)
     return out[()] if out.ndim == 0 else out
@@ -261,18 +265,22 @@ def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     Returns (c, z_double).  The minimum of chi over z, F(c) = chi(z_min(c); c)
     with z_min the Lambert W critical point, strictly decreases in c from
     slope - 1 > 0 at c = 0 to below zero at the non-delayed speed
-    2*sqrt(slope-1); one brentq on that bracket finds its zero.  At h = 0
-    the closed form c = 2*sqrt(slope-1), z = sqrt(slope-1) is returned.
+    c0 = 2*sqrt(slope-1); one brentq on that bracket finds its zero.  At
+    h = 0, and at delays so small that F(c0) rounds to >= 0 (0 < h < ~2e-17
+    for some slopes), the speed is c0 to rounding and the closed form
+    c = c0, z = c0/2 is returned.  Delays above 1e20 raise DomainError.
     """
     if not slope > 1.0:
         raise DomainError("double_root_speed needs slope > 1")
     if h < 0.0:
         raise DomainError("delay must be nonnegative")
+    if not h <= _H_MAX:
+        raise DomainError(f"delay must be at most {_H_MAX:g}, got {h:g}")
     c0 = 2.0 * math.sqrt(slope - 1.0)
-    if h == 0.0:
-        return c0, 0.5 * c0
     F = lambda c: eval_char(_critical_point(c, c * h, slope, 0), c, h, slope)
-    c = brentq(F, 1e-9, c0, xtol=1e-300, rtol=_RTOL)
+    if h == 0.0 or F(c0) >= 0.0:
+        return c0, 0.5 * c0
+    c = brentq(F, 0.0, c0, xtol=1e-300, rtol=_RTOL)
     return c, _critical_point(c, c * h, slope, 0)
 
 

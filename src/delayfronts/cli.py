@@ -18,7 +18,6 @@ import numpy as np
 from . import __version__, chareq, kernels, pdesim, speedcurves, toyfront
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
-from .speedcurves import _fmt
 
 
 class UsageError(Exception):
@@ -28,6 +27,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 3, not argparse's default 2
         raise UsageError(message)
+
+
+def _fmt(v) -> str:
+    """Six significant digits for floats; empty for None; true/false for bools."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return str(v)
 
 
 def _print_kv(pairs) -> None:
@@ -97,7 +107,11 @@ def _cmd_curves(args) -> int:
     grid = [args.h_min + i * args.h_step for i in range(n + 1)]
     man = _Manifest("curves", vars(args), args.out)
     samples = speedcurves.sample_curves(grid, params)
-    man.write_text("curves.csv", speedcurves.curves_csv(samples))
+    # a failed row keeps only h; its error goes in the c_sharp cell, as in table.csv
+    rows = [(s.h, s.c_sharp if s.error is None else f"error:{s.error}", s.c_kappa,
+             s.c_bound, s.c_star, s.regime, s.monotone_front) for s in samples]
+    man.write_csv("curves.csv", "h,c_sharp,c_kappa,c_bound,c_star,regime,monotone_front",
+                  *zip(*rows))
     man.finalize()
     return 0
 

@@ -11,11 +11,12 @@ factors into first-order pieces D = D1 D2 = D2 D1 with
     (D2 y)(t) = y' - (c - mu2) y
                 - g'(kappa) e^{-ch mu2} * int_{-ch}^0 e^{-mu2 s} y(t+s) ds.
 
-Their fundamental solutions are theta(t) = e^{mu2 t} (t >= 0), the jump
-kernel psi (negative, exponentially decaying both ways), and the
-convolution N = psi * theta (negative, total mass 1/(g'(kappa)-1)), which
-inverts D and drives the monotone fixed-point operator of the front
-construction.
+Their fundamental solutions are theta(t) = e^{mu2 t} (t >= 0) and the jump
+kernel psi (negative, exponentially decaying both ways).  The convolution
+N = psi * theta (negative, total mass 1/(g'(kappa)-1)) inverts D and drives
+the monotone fixed-point operator of the front construction; it is computed
+from its defining equation D1 N = psi, in closed form outside psi's forward
+window and by one cumulative trapezoid inside it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import chareq
 from .chareq import ModelParams
@@ -182,42 +182,45 @@ def N_kernel(
     t_max: float | None = None,
     step: float | None = None,
 ) -> KernelGrid:
-    """The convolution N = psi * theta on a uniform grid.
+    """The convolution N = psi * theta on psi's uniform grid.
 
-    psi's truncated forward tail is completed analytically at its e^{mu3 t}
-    rate before convolving (amplitude matched at the last clean sample), the
-    jump node enters with its two-sided average, and the result is trimmed
-    where it falls below 1e-13 of the peak (round-off floor of the FFT
-    convolution).  The trapezoid mass over the grid reproduces
-    1/(g'(kappa)-1) to well inside 1e-4.
+    N solves D1 N = N' - mu2 N = psi (theta is D1's fundamental solution):
+    exactly before 0 and past psi's forward window, where psi is a single
+    exponential, and by a cumulative trapezoid (second order in the step)
+    inside it.  The result is trimmed where it falls below 1e-13 of the
+    peak, must stay strictly negative, and its trapezoid mass must
+    reproduce 1/(g'(kappa)-1) to 1e-4 (AccuracyError otherwise).
     """
     return _convolve_theta(psi_kernel(c, h, params, t_max=t_max, step=step), params)
 
 
 def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
-    """N = psi * theta from an existing psi grid (the body of N_kernel)."""
-    dt, mu2 = psi.step, psi.mu2
-    vals = psi.values
+    """N = psi * theta from an existing psi grid (the body of N_kernel).
+
+    N is the solution of D1 N = N' - mu2 N = psi that vanishes at -inf,
+    continuous at 0 where psi jumps.  Before 0, psi = amp e^{mu1 t} with
+    amp its left limit, so N = amp e^{mu1 t}/(mu1 - mu2) exactly.  On psi's
+    forward window [0, T], N(t) = e^{mu2 t} (N(0) + int_0^t e^{-mu2 s}
+    psi(s) ds), one cumulative trapezoid.  Past T, psi = a e^{mu3 t}
+    (amplitude matched at its last sample; zero at h = 0), and
+    N = e^{mu2 (t-T)} (N(T) - A) + A e^{mu3 (t-T)} with A = psi(T)/(mu3 - mu2),
+    carried on until the e^{mu2 t} mode has decayed by e^{-23}.
+    """
+    dt, mu1, mu2 = psi.step, psi.mu1, psi.mu2
     n_neg = psi.index_of_zero()
-    if psi.mu3 is not None:  # h > 0: complete the truncated forward tail
-        mu3 = psi.mu3
-        T0 = psi.t_max + dt
-        a = vals[-1] / np.exp(mu3 * psi.t_max)
-        n_ext = int(np.ceil(max(0.0, 1.2 * _SUPPORT_DECADES / abs(mu3) - T0) / dt))
-        if n_ext > 0:
-            text = T0 + dt * np.arange(n_ext)
-            vals = np.concatenate([vals, a * np.exp(mu3 * text)])
-    n_th = int(np.ceil(_SUPPORT_DECADES / abs(mu2) / dt))
-    th = np.exp(mu2 * dt * np.arange(n_th + 1))
-    th[0] *= 0.5
-    th[-1] *= 0.5
-    psi_avg = vals.copy()
-    psi_avg[n_neg] -= 0.5 * psi.jump_at_zero
-    conv = fftconvolve(psi_avg, th) * dt
-    # at t = 0 the psi jump sits on the boundary of the u-integral, where the
-    # one-sided (left) value applies instead of the two-sided average
-    conv[n_neg] -= 0.25 * psi.jump_at_zero * dt
-    t = dt * (np.arange(len(conv)) - n_neg)
+    t_neg, s, fwd = psi.t[:n_neg], psi.t[n_neg:], psi.values[n_neg:]
+    amp = fwd[0] - psi.jump_at_zero
+    N_neg = amp * np.exp(mu1 * t_neg) / (mu1 - mu2)
+    f = np.exp(-mu2 * s) * fwd
+    integral = dt * (np.cumsum(f) - 0.5 * (f[0] + f))
+    N_fwd = np.exp(mu2 * s) * (amp / (mu1 - mu2) + integral)
+    s_tail = dt * np.arange(1, int(np.ceil(_SUPPORT_DECADES / abs(mu2) / dt)) + 1)
+    N_tail = N_fwd[-1] * np.exp(mu2 * s_tail)
+    if psi.mu3 is not None:  # h > 0; at h = 0 psi vanishes past 0
+        A = fwd[-1] / (psi.mu3 - mu2)
+        N_tail += A * (np.exp(psi.mu3 * s_tail) - np.exp(mu2 * s_tail))
+    t = np.concatenate([psi.t, s[-1] + s_tail])
+    conv = np.concatenate([N_neg, N_fwd, N_tail])
     floor = _RELATIVE_FLOOR * np.max(np.abs(conv))
     keep = np.abs(conv) >= floor
     i0 = int(np.argmax(keep))
@@ -231,7 +234,7 @@ def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
         raise AccuracyError(
             f"N normalization off: {mass:.6f} vs {expected:.6f}; refine the step"
         )
-    return KernelGrid(t, conv, dt, 0.0, psi.mu1, mu2, psi.mu3)
+    return KernelGrid(t, conv, dt, 0.0, mu1, mu2, psi.mu3)
 
 
 def apply_N_operator(
@@ -269,7 +272,8 @@ def apply_N_operator(
         [np.full(pad + shift, values[0]), values, np.full(pad, values[-1])]
     )
     w = params.slope_kappa * ext - birth_rate(ext, params.slope_zero)
-    full = fftconvolve(w, kern.values) * dt
+    n = len(w) + len(kern.values) - 1  # zero-padded: a linear, not circular, convolution
+    full = np.fft.irfft(np.fft.rfft(w, n) * np.fft.rfft(kern.values, n), n) * dt
     # index bookkeeping: ext[i] is f at t_grid[0] + (i - pad - shift) dt,
     # so w's sample j sits at time t0 + (j - pad) dt after the delay shift;
     # conv index n corresponds to time t0 + (n - pad - n_neg_kernel) dt
@@ -317,8 +321,7 @@ def check_factorization(
         wq[-1] *= 0.5
         ker = wq * np.exp(-mu2 * (-ch + dt * np.arange(m + 1)))
         out = np.full_like(arr, np.nan)
-        for i in range(m, len(arr)):
-            out[i] = ker @ arr[i - m : i + 1]
+        out[m:] = np.convolve(arr, ker[::-1], "valid")
         return out
 
     def D2(arr):

@@ -5,12 +5,11 @@ root at the zero state), the region boundary c_kappa(h) (double negative
 root at the positive state, defined above the delay threshold h_star), the
 closed-form bound c_bound(h) on which the comparison condition degenerates,
 and the minimal speed c_star(h) of the piecewise-linear model.  This module
-evaluates them on grids and emits the sweep as CSV rows.
+evaluates them on grids.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,7 @@ __all__ = [
     "c_bound_curve",
     "in_region_Dstar",
     "sample_curves",
-    "curves_csv",
 ]
-
-CSV_HEADER = "h,c_sharp,c_kappa,c_bound,c_star,regime,monotone_front"
 
 
 @dataclass(frozen=True)
@@ -119,40 +115,3 @@ def sample_curves(h_grid, params: ModelParams) -> list[SpeedCurveSample]:
         except (DomainError, AccuracyError) as exc:
             samples.append(SpeedCurveSample(h=h, error=f"{type(exc).__name__}: {exc}"))
     return samples
-
-
-def _fmt(v) -> str:
-    """Six significant digits for floats; empty for None; true/false for bools."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
-
-
-def curves_csv(samples) -> str:
-    """Render sweep rows in the fixed 6-significant-digit CSV format."""
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for s in samples:
-        if s.error is not None:
-            buf.write(f"{_fmt(s.h)},error:{s.error},,,,,\n")
-            continue
-        buf.write(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    s.h,
-                    s.c_sharp,
-                    s.c_kappa,
-                    s.c_bound,
-                    s.c_star,
-                    s.regime,
-                    s.monotone_front,
-                )
-            )
-            + "\n"
-        )
-    return buf.getvalue()

@@ -10,6 +10,7 @@ from delayfronts import (
     double_root_speed,
     eval_char,
     h_star,
+    minimal_speed,
     roots_at_kappa,
     roots_at_zero,
 )
@@ -347,6 +348,34 @@ class TestDoubleRootSpeed:
     def test_invalid_slope(self):
         with pytest.raises(DomainError):
             double_root_speed(1.0, 0.9)
+
+    def test_tiny_delay_is_the_nondelayed_speed(self):
+        # at h = 1e-20, F(2 sqrt(k-1)) rounds to >= 0 for 88 of these 2,000 slopes
+        slopes = np.random.default_rng(0).uniform(1.01, 2.99, 2000)
+        pulled = 0
+        for k in slopes.tolist():
+            c, z = double_root_speed(1e-20, k)
+            c0 = 2.0 * np.sqrt(k - 1.0)
+            assert c == pytest.approx(c0, rel=4 * np.finfo(float).eps, abs=0.0), k
+            assert z == pytest.approx(0.5 * c0, rel=1e-12), k
+            c_star, regime = minimal_speed(1e-20, k)
+            if regime == "pulled":
+                pulled += 1
+                assert c_star == c, k
+        assert pulled > 1000
+
+    @pytest.mark.parametrize("h,slope", [(6.2e5, 1.0 + 1e-9), (1e20, 1.01), (1e20, 2.99)])
+    def test_large_delay_double_root(self, h, slope):
+        # the speed lies far below 1e-9; the bracket runs from c = 0
+        c, z = double_root_speed(h, slope)
+        assert 0.0 < c < 1e-9
+        assert abs(eval_char(z, c, h, slope)) < 1e-12
+        assert abs(eval_char_dz(z, c, h, slope)) < 1e-12
+
+    @pytest.mark.parametrize("h", [1e21, np.inf, np.nan])
+    def test_huge_delay_is_domain_error(self, h):
+        with pytest.raises(DomainError):
+            double_root_speed(h, 1.5)
 
 
 class TestCKappaCurve:

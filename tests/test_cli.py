@@ -1,12 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from delayfronts import AccuracyError, double_root_speed, kernels, pdesim, toyfront
-from delayfronts.cli import _Manifest, main
-from delayfronts.speedcurves import _fmt
+from delayfronts.cli import _Manifest, _fmt, main
 
 
 def parse_kv(output: str) -> dict:
@@ -61,6 +64,13 @@ class TestToy:
         kv = parse_kv(capsys.readouterr().out)
         assert (kv["h_pushed_to_pulled"], kv["h_oscillation"]) == (h_p, h_osc)
 
+    def test_tiny_delay_is_the_nondelayed_speed(self, capsys):
+        # F(2 sqrt(k-1)) rounds to >= 0 here, which left brentq without a bracket
+        assert main(["toy", "--k", "2.071565817361361", "--h", "1e-20"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert kv["c_sharp"] == kv["c_star"] == "2.07033"
+        assert kv["regime"] == "pulled"
+
 
 class TestCurves:
     def test_csv_and_manifest(self, tmp_path):
@@ -77,6 +87,38 @@ class TestCurves:
         assert manifest["outputs"] == ["curves.csv"]
         assert manifest["version"] == "0.1.0"
         assert manifest["parameters"]["k"] == 1.2
+
+    def test_header_and_formatting(self, tmp_path):
+        argv = ["curves", "--k", "1.2", "--h-max", "0.5", "--h-step", "0.5"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "curves.csv").read_text().split("\n")
+        assert lines[0] == "h,c_sharp,c_kappa,c_bound,c_star,regime,monotone_front"
+        assert lines[1].startswith("0,0.894427,,,1.1595,pushed,true")
+
+    def test_monotone_flag_is_lowercase(self, tmp_path):
+        # k = 1.5 is pulled at these delays, where c_star is the linear speed
+        argv = ["curves", "--k", "1.5", "--h-min", "0.2", "--h-max", "1", "--h-step", "0.8"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "curves.csv").read_text().split()[1:]
+        flags = [line.rsplit(",", 1)[1] for line in rows]
+        assert len(flags) == 2 and set(flags) <= {"true", "false"}
+
+    def test_error_row(self, tmp_path, monkeypatch):
+        from delayfronts import speedcurves
+
+        real = speedcurves.chareq.double_root_speed
+
+        def flaky(h, slope):
+            if h == 0.5:
+                raise AccuracyError("synthetic failure")
+            return real(h, slope)
+
+        monkeypatch.setattr(speedcurves.chareq, "double_root_speed", flaky)
+        argv = ["curves", "--k", "1.2", "--h-max", "1", "--h-step", "0.5"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "curves.csv").read_text().split("\n")
+        assert lines[2] == "0.5,error:AccuracyError: synthetic failure,,,,,"
+        assert lines[1].startswith("0,0.894427,") and lines[3].startswith("1,0.426991,")
 
     def test_jobs_accepted_and_ignored(self, tmp_path):
         # rows always run in-process; --jobs only stays parseable
@@ -278,3 +320,12 @@ class TestExitCodes:
 
     def test_invalid_k_is_domain_error(self, capsys):
         assert main(["toy", "--k", "3.5"]) == 1
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy_signal(self):
+        # scipy.signal (with scipy.stats) was about half of the import time
+        src = Path(kernels.__file__).resolve().parent.parent
+        code = "import delayfronts.cli, sys; assert 'scipy.signal' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(src)})

@@ -14,9 +14,12 @@ from delayfronts import (
     theta_kernel,
 )
 from delayfronts.chareq import eval_char_dz
-from delayfronts.kernels import check_factorization
+from delayfronts.kernels import _convolve_theta, check_factorization
 
 from conftest import sample_dkappa
+
+# the (c, h) points of the kernel benchmark at k = 1.2
+SEED0_POINTS = [(0.5, 1.0), (1.0, 0.5), (0.3, 2.0), (0.2, 3.0)]
 
 
 class TestTheta:
@@ -94,8 +97,53 @@ class TestN:
             -np.exp(mu1 * grid.t) / (mu1 - mu2),
             -np.exp(mu2 * grid.t) / (mu1 - mu2),
         )
-        np.testing.assert_allclose(grid.values, expected, atol=2e-5)
+        np.testing.assert_allclose(grid.values, expected, rtol=0.0, atol=1e-15)
         assert np.trapezoid(grid.values, grid.t) == pytest.approx(-0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("c,h", SEED0_POINTS)
+    def test_closed_form_before_zero(self, toy12, c, h):
+        # D1 N = psi with psi = amp e^{mu1 t} on t < 0 gives N = amp e^{mu1 t}/(mu1 - mu2)
+        grid = N_kernel(c, h, toy12)
+        r = roots_at_kappa(c, h, toy12)
+        amp = -(r.mu1 - r.mu2) / eval_char_dz(r.mu1, c, h, -1.0)
+        back = grid.t <= 0.0
+        expected = amp * np.exp(r.mu1 * grid.t[back]) / (r.mu1 - r.mu2)
+        peak = np.max(np.abs(grid.values))
+        assert np.max(np.abs(grid.values[back] - expected)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("c,h", [(0.5, 1.0), (0.2, 3.0)])
+    def test_continuous_at_zero(self, toy12, c, h):
+        # the value at 0 against a linear extrapolation from the right: the gap
+        # is the O(dt^2) extrapolation error, so it falls fourfold as dt halves
+        gaps = []
+        for m in (100, 200):
+            grid = N_kernel(c, h, toy12, step=c * h / m)
+            i0, v = grid.index_of_zero(), grid.values
+            gaps.append(abs(2.0 * v[i0 + 1] - v[i0 + 2] - v[i0]) / np.max(np.abs(v)))
+        assert gaps[1] < 2e-5
+        assert 3.0 < gaps[0] / gaps[1] < 5.0
+
+    @pytest.mark.parametrize("c,h", [(0.5, 1.0), (0.2, 3.0)])
+    def test_defining_equation_residual_second_order(self, toy12, c, h):
+        # central-difference residual of N' - mu2 N - psi inside psi's window
+        residuals = []
+        for m in (100, 200):
+            psi = psi_kernel(c, h, toy12, step=c * h / m)
+            grid = _convolve_theta(psi, toy12)
+            j0, i0 = psi.index_of_zero(), grid.index_of_zero()
+            n = len(psi.t) - j0
+            v = grid.values[i0 : i0 + n]
+            dv = (v[2:] - v[:-2]) / (2.0 * grid.step)
+            r = dv - grid.mu2 * v[1:-1] - psi.values[j0 + 1 : j0 + n - 1]
+            residuals.append(np.max(np.abs(r)) / np.max(np.abs(grid.values)))
+        assert residuals[1] < 5e-6
+        assert 3.0 < residuals[0] / residuals[1] < 5.0
+
+    @pytest.mark.parametrize("c,h", SEED0_POINTS)
+    def test_seed0_mass_error(self, toy12, c, h):
+        # 5.5e-7 to 7.3e-7 measured; the FFT convolution gave 2.9e-6 to 4.5e-6
+        grid = N_kernel(c, h, toy12)
+        assert abs(np.trapezoid(grid.values, grid.t) + 0.5) < 1e-6
 
     def test_negative_and_normalized_on_draws(self, toy12):
         rng = np.random.default_rng(29)
