@@ -54,7 +54,8 @@ class KernelGrid:
 
     For psi the node at t = 0 stores the right limit and jump_at_zero is 1;
     theta and N carry jump 0 (theta's unit step at 0 is its support edge,
-    not an interior jump of the stored grid).
+    not an interior jump of the stored grid).  cut_at_t_max: the caller's
+    t_max, not the tail cutoff or the noise floor, ended psi's window.
     """
 
     t: np.ndarray
@@ -64,6 +65,7 @@ class KernelGrid:
     mu1: float
     mu2: float
     mu3: float | None
+    cut_at_t_max: bool = False
 
     @property
     def t_max(self) -> float:
@@ -172,7 +174,8 @@ def psi_kernel(
         raise AccuracyError(
             "psi kernel lost strict negativity; refine the step"
         )
-    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3)
+    cut = clean is None and T_pos < T_tail
+    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, cut_at_t_max=cut)
 
 
 def N_kernel(
@@ -231,9 +234,9 @@ def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
     mass = float(np.trapezoid(conv, t))
     expected = 1.0 / (params.slope_kappa - 1.0)
     if abs(mass - expected) > 1e-4:
-        raise AccuracyError(
-            f"N normalization off: {mass:.6f} vs {expected:.6f}; refine the step"
-        )
+        cause = (f"t_max = {psi.t_max:.6g} cut psi before its e^(mu3 t) tail; "
+                 "raise t_max" if psi.cut_at_t_max else "refine the step")
+        raise AccuracyError(f"N normalization off: {mass:.6f} vs {expected:.6f}; {cause}")
     return KernelGrid(t, conv, dt, 0.0, mu1, mu2, psi.mu3)
 
 

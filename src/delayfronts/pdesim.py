@@ -4,10 +4,12 @@ Crank-Nicolson in time and second-order central differences in space for
 
     u_t = u_xx - u + g(u(t - h, x)),
 
-with the piecewise-linear birth law, Dirichlet values pinned at both ends,
-and the delayed source read from a ring of stored g(u) levels.  The front
-position is tracked as the leftmost crossing of a fixed level and its
-asymptotic speed fitted on the trailing part of the trajectory.
+with the piecewise-linear birth law, exact Dirichlet values at both ends,
+and the delayed source read from a ring of stored g(u) levels.  Each step
+is one LAPACK pttrs solve for the interior unknowns, whose constant SPD
+tridiagonal matrix pttrf factors once.  The front position is tracked as
+the leftmost crossing of a fixed level and its asymptotic speed fitted on
+the trailing part of the trajectory.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags_array
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import AccuracyError, DomainError
 from .toyfront import birth_rate
@@ -38,9 +39,9 @@ class SimConfig:
 
     Defaults reproduce the reference discretization: domain [-25, 25],
     dx = 0.05, dt = 0.01, Dirichlet values 0 and 2, level-1 front tracking.
-    h/dt and (x_max - x_min)/dx must be integers.  step_location shifts the
-    initial step interface (x < step_location -> 0, else 2); snapshot_times
-    requests stored copies of the field at those times.
+    h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
+    step_location shifts the initial step interface (x < step_location -> 0,
+    else 2); snapshot_times, within [0, t_end], request copies of the field.
     """
 
     h: float
@@ -61,14 +62,20 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 1.0 < self.k < 3.0:
             raise DomainError(f"k must lie in (1, 3), got {self.k}")
-        if self.h < 0.0 or self.dt <= 0.0 or self.dx <= 0.0 or self.t_end <= 0.0:
-            raise DomainError("h >= 0 and dx, dt, t_end > 0 required")
+        grid = (self.h, self.t_end, self.x_min, self.x_max, self.dx, self.dt)
+        if not (np.all(np.isfinite(grid)) and self.h >= 0.0
+                and min(self.dx, self.dt, self.t_end) > 0.0):
+            raise DomainError("finite grid with h >= 0 and dx, dt, t_end > 0 required")
         m = self.h / self.dt
         if abs(m - round(m)) > 1e-9:
             raise DomainError(f"h/dt = {m} is not an integer")
         nx = (self.x_max - self.x_min) / self.dx
         if abs(nx - round(nx)) > 1e-9:
             raise DomainError("(x_max - x_min)/dx is not an integer")
+        if round(nx) < 3:  # scipy's dpttrf wrapper fails on one interior unknown
+            raise DomainError(f"x_max - x_min must span at least 3 cells, got {round(nx)}")
+        if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
+            raise DomainError(f"snapshot_times must lie in [0, t_end = {self.t_end}]")
 
     @property
     def delay_steps(self) -> int:
@@ -84,14 +91,15 @@ class SimState:
     """Mutable integration state; single-threaded use only.
 
     history is the ring of source levels g(u^n), level n in row
-    n % len(history); it holds h/dt + 1 rows (two at h = 0).
+    n % len(history); it holds h/dt + 1 rows (two at h = 0).  factor holds
+    the pttrf factors (d, e) of the interior Crank-Nicolson matrix.
     """
 
     config: SimConfig
     x: np.ndarray
     u: np.ndarray
     history: np.ndarray
-    lu: object = field(repr=False)
+    factor: tuple[np.ndarray, np.ndarray] = field(repr=False)
     step_count: int = 0
 
     @property
@@ -110,18 +118,6 @@ class SimResult:
     u_max: float
 
 
-def _assemble(config: SimConfig):
-    nx = config.n_points
-    r = config.dt / (2.0 * config.dx * config.dx)
-    main = np.full(nx, 1.0 + 2.0 * r + config.dt / 2.0)
-    main[0] = main[-1] = 1.0
-    lower = np.full(nx - 1, -r)
-    upper = np.full(nx - 1, -r)
-    lower[-1] = 0.0  # Dirichlet row nx-1
-    upper[0] = 0.0  # Dirichlet row 0
-    return diags_array([lower, main, upper], offsets=[-1, 0, 1], format="csc")
-
-
 def init_cauchy(config: SimConfig) -> SimState:
     """Step-function Cauchy data held constant over the delay interval.
 
@@ -133,10 +129,13 @@ def init_cauchy(config: SimConfig) -> SimState:
     # 0 and 2 are equilibria, fixed points of g, so this is also g(u); the
     # end columns of the ring are never read
     history = np.tile(u, (max(config.delay_steps, 1) + 1, 1))
-    u[0] = config.bc_left
-    u[-1] = config.bc_right
-    return SimState(config=config, x=x, u=u, history=history,
-                    lu=splu(_assemble(config)))
+    u[0], u[-1] = config.bc_left, config.bc_right
+    r = config.dt / (2.0 * config.dx * config.dx)
+    n = config.n_points - 2
+    d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r + config.dt / 2.0), np.full(n - 1, -r))
+    if info != 0:
+        raise AccuracyError(f"pttrf failed on the Crank-Nicolson matrix (info={info})")
+    return SimState(config=config, x=x, u=u, history=history, factor=(d, e))
 
 
 def cn_step(state: SimState) -> SimState:
@@ -147,9 +146,9 @@ def cn_step(state: SimState) -> SimState:
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
-    The tridiagonal solve reuses a precomputed sparse LU (forward
-    elimination / back substitution).  g of the new level is evaluated once
-    and written over the ring row no longer needed.
+    One pttrs solve on init_cauchy's factors gives the interior nodes, and
+    the end nodes get their Dirichlet values exactly.  g of the new level is
+    evaluated once and written over the ring row no longer needed.
     """
     cfg = state.config
     m = cfg.delay_steps
@@ -160,16 +159,17 @@ def cn_step(state: SimState) -> SimState:
         src = 0.5 * (g[(n - m) % rows] + g[(n - m + 1) % rows])
     else:
         src = 1.5 * g[n % rows] - 0.5 * g[(n - 1) % rows]
-    b = np.empty_like(u)
-    b[1:-1] = (
+    b = (
         r * u[:-2]
         + (1.0 - 2.0 * r - cfg.dt / 2.0) * u[1:-1]
         + r * u[2:]
         + cfg.dt * src[1:-1]
     )
-    b[0] = cfg.bc_left
-    b[-1] = cfg.bc_right
-    new = state.lu.solve(b)
+    b[0] += r * cfg.bc_left
+    b[-1] += r * cfg.bc_right
+    new = np.empty_like(u)
+    new[0], new[-1] = cfg.bc_left, cfg.bc_right
+    new[1:-1], _ = dpttrs(*state.factor, b, overwrite_b=True)
     if not np.all(np.isfinite(new)):
         raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
     state.u = new
@@ -181,13 +181,14 @@ def cn_step(state: SimState) -> SimState:
 def _level_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float | None:
     """Leftmost linear-interpolated crossing of u = level, None if absent."""
     s = u - level
-    idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
-    for i in idx:
-        du = u[i + 1] - u[i]
-        if du != 0.0:
-            return float(x[i] + (x[i + 1] - x[i]) * (level - u[i]) / du)
+    crossed = s[:-1] * s[1:] <= 0.0
+    i = int(np.argmax(crossed))
+    if not crossed[i]:
+        return None
+    du = u[i + 1] - u[i]
+    if du == 0.0:
         return float(x[i])
-    return None
+    return float(x[i] + (x[i + 1] - x[i]) * (level - u[i]) / du)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -200,10 +201,8 @@ def run(config: SimConfig) -> SimResult:
     state.u and never writes into it, so snapshots share its arrays.
     """
     state = init_cauchy(config)
-    snap_steps = {int(round(ts / config.dt)): ts for ts in config.snapshot_times}
-    snapshots: list[tuple[float, np.ndarray]] = []
-    if 0 in snap_steps:
-        snapshots.append((0.0, state.u))
+    snap_steps = {int(round(ts / config.dt)) for ts in config.snapshot_times}
+    snapshots = [(0.0, state.u)] if 0 in snap_steps else []
     times, positions = [], []
     n_steps = int(round(config.t_end / config.dt))
     u_min, u_max = float(state.u.min()), float(state.u.max())
@@ -233,13 +232,12 @@ def run(config: SimConfig) -> SimResult:
 
 
 def _fit(traj: np.ndarray, window_fraction: float):
-    if len(traj) < 100:
-        raise DomainError(
-            f"insufficient data: {len(traj)} trajectory points, need >= 100 in the window"
-        )
+    if not 0.0 < window_fraction < 1.0:
+        raise DomainError("window_fraction must lie in (0, 1)")
     i0 = int(len(traj) * (1.0 - window_fraction))
     if len(traj) - i0 < 100:
-        raise DomainError("insufficient data: fit window holds fewer than 100 points")
+        raise DomainError(f"insufficient data: the fit window holds {len(traj) - i0} of "
+                          f"{len(traj)} trajectory points, need >= 100")
     tt, xx = traj[i0:, 0], traj[i0:, 1]
     A = np.column_stack([tt, np.ones_like(tt)])
     coef, *_ = np.linalg.lstsq(A, xx, rcond=None)
@@ -255,8 +253,6 @@ def estimate_speed(
     Returns (c_ns, fit_residual) where the residual is the RMS deviation
     from the fitted line.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise DomainError("window_fraction must lie in (0, 1)")
     traj = np.asarray(level_trajectory, dtype=float)
     c_ns, rms, _ = _fit(traj, window_fraction)
     return c_ns, rms

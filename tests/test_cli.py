@@ -228,6 +228,25 @@ class TestProfileKernelSimulate:
         assert cst == pytest.approx(0.6562, abs=5e-4)
         assert cns == pytest.approx(0.6377, abs=0.02)
 
+    @pytest.mark.parametrize("bad", [
+        ["--t-end", "10", "--snapshots", "50"],
+        ["--x-min", "25", "--x-max", "-25"],
+        ["--x-min", "0", "--x-max", "0.1"],
+        ["--t-end", "inf"],
+    ])
+    def test_simulate_rejects_bad_grid(self, tmp_path, capsys, bad):
+        args = ["simulate", "--k", "1.2", "--h", "0.5", *bad, "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_table_jobs_byte_identical(self, tmp_path):
+        base = ["table", "--k", "1.2", "--rows", "0.5,1", "--t-end", "60"]
+        for jobs in ("1", "2"):
+            assert main([*base, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert ((tmp_path / "1" / "table.csv").read_bytes()
+                == (tmp_path / "2" / "table.csv").read_bytes())
+
     def test_table_row_failure_is_isolated(self, tmp_path, monkeypatch):
         def flaky(cfg):
             if cfg.h == 1.0:
@@ -307,6 +326,11 @@ class TestExitCodes:
         assert main(["kernel", "--k", "1.2", "--c", "0.5", "--h", "1",
                      "--step", "0.125", "--out", str(tmp_path)]) == 2
         assert "accuracy error" in capsys.readouterr().err
+
+    def test_kernel_short_t_max_is_accuracy_error_naming_t_max(self, capsys, tmp_path):
+        assert main(["kernel", "--k", "1.2", "--c", "0.5", "--h", "1",
+                     "--t-max", "0.2", "--out", str(tmp_path)]) == 2
+        assert "t_max = 0.2 cut psi" in capsys.readouterr().err
 
     def test_profile_step_below_floor_is_domain_error(self, capsys, tmp_path,
                                                       monkeypatch):

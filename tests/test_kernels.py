@@ -162,8 +162,17 @@ class TestN:
         assert errs[0] > errs[2]  # order >= 1 overall
 
     def test_coarse_step_raises_accuracy_error(self, toy12):
-        with pytest.raises(AccuracyError):
+        with pytest.raises(AccuracyError, match="refine the step"):
             N_kernel(0.5, 1.0, toy12, step=0.5 * 1.0 / 4.0)
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_short_t_max_is_named_as_the_cause(self, toy12, m):
+        # psi cut before its e^{mu3 t} tail: no step refinement helps
+        assert psi_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m).cut_at_t_max
+        with pytest.raises(AccuracyError, match="t_max = 0.2 cut psi") as err:
+            N_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m)
+        assert "refine the step" not in str(err.value)
+        assert not psi_kernel(0.5, 1.0, toy12, t_max=5.0, step=0.5 / m).cut_at_t_max
 
 
 class TestApplyN:

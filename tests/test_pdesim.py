@@ -43,6 +43,35 @@ class TestConfigAndInit:
         with pytest.raises(DomainError):
             SimConfig(h=0.5, k=1.2, t_end=1.0, dx=0.07)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, 2.0])
+    def test_window_fraction_outside_unit_interval_rejected_by_run(self, fraction):
+        with pytest.raises(DomainError, match="window_fraction"):
+            run(SimConfig(h=0.5, k=1.2, t_end=2.0, window_fraction=fraction))
+
+    @pytest.mark.parametrize("times", [(50.0,), (-1.0,), (0.0, 10.5), (float("nan"),)])
+    def test_snapshot_outside_run_rejected(self, times):
+        with pytest.raises(DomainError, match="snapshot_times"):
+            SimConfig(h=0.5, k=1.2, t_end=10.0, snapshot_times=times)
+
+    # reversed, empty, and one interior unknown (scipy's dpttrf raises ValueError)
+    @pytest.mark.parametrize("x_min, x_max", [(25.0, -25.0), (1.0, 1.0), (0.0, 0.1)])
+    def test_grid_below_three_cells_rejected(self, x_min, x_max):
+        with pytest.raises(DomainError, match="3 cells"):
+            SimConfig(h=0.5, k=1.2, t_end=1.0, x_min=x_min, x_max=x_max)
+
+    def test_three_cell_grid_steps(self):
+        st = init_cauchy(SimConfig(h=0.5, k=1.2, t_end=1.0, x_min=0.0, x_max=0.15))
+        cn_step(st)
+        assert st.u.shape == (4,) and np.all(np.isfinite(st.u))
+
+    @pytest.mark.parametrize("name", ["h", "t_end", "x_min", "x_max", "dx", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_grid_rejected(self, name, value):
+        kwargs = dict(h=0.5, k=1.2, t_end=1.0)
+        kwargs[name] = value
+        with pytest.raises(DomainError, match="finite"):
+            SimConfig(**kwargs)
+
 
 class TestCnStep:
     def test_zero_equilibrium_is_stationary(self):
@@ -60,6 +89,14 @@ class TestCnStep:
         st.history[:] = birth_rate(st.u, cfg.k)
         cn_step(st)
         np.testing.assert_allclose(st.u, 2.0, atol=1e-13)
+
+    def test_dirichlet_values_exact_after_every_step(self):
+        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
+        st = init_cauchy(cfg)
+        assert st.u[0] == cfg.bc_left and st.u[-1] == cfg.bc_right
+        for _ in range(100):
+            cn_step(st)
+            assert st.u[0] == cfg.bc_left and st.u[-1] == cfg.bc_right
 
     def test_single_step_matches_dense_solve(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
@@ -84,12 +121,12 @@ class TestCnStep:
         )
         b[0], b[-1] = cfg.bc_left, cfg.bc_right
         expected = np.linalg.solve(A, b)
-        np.testing.assert_allclose(st.u, expected, atol=1e-11)
+        np.testing.assert_allclose(st.u, expected, rtol=0.0, atol=1e-14)
 
     def test_first_step_stays_in_invariant_box(self):
         st = init_cauchy(SimConfig(h=0.5, k=1.2, t_end=1.0))
         cn_step(st)
-        assert st.u.min() >= -1e-12
+        assert st.u.min() >= 0.0
         assert st.u.max() <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("h", [0.0, 0.5])
@@ -130,7 +167,7 @@ class TestRun:
     def test_front_speed_and_bounds_h05(self):
         res = run(SimConfig(h=0.5, k=1.2, t_end=400.0))
         assert res.c_ns == pytest.approx(0.6377, abs=0.02)
-        assert res.u_min >= -1e-12  # round-off below the invariant box
+        assert res.u_min >= 0.0
         assert res.u_max <= 3.0
         # front moves left; trajectory ends near the stop margin
         assert res.level_trajectory[-1, 1] <= -19.9
