@@ -28,7 +28,6 @@ from .pdesim import SimConfig, SimResult, estimate_speed, init_cauchy, cn_step, 
 from .speedcurves import SpeedCurveSample, c_bound_curve, in_region_Dstar, sample_curves
 from .toyfront import (
     LimitQuantities,
-    ToyQuantities,
     WaveProfile,
     amplitude_p,
     build_profile,
@@ -52,7 +51,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SpeedCurveSample",
-    "ToyQuantities",
     "WaveProfile",
     "amplitude_p",
     "apply_N_operator",

@@ -63,6 +63,12 @@ _TAU_FLOOR = 1e-70
 _H_MAX = 1e20
 
 
+def _check_k(k: float) -> None:
+    """The piecewise-linear model's slope domain, shared by every entry point."""
+    if not 1.0 < k < 3.0:
+        raise DomainError(f"k must lie in (1, 3), got {k}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Slopes and equilibria of the birth law.
@@ -85,8 +91,7 @@ class ModelParams:
     @classmethod
     def toy(cls, k: float) -> "ModelParams":
         """The piecewise-linear model: g(u) = k*u below 1, 4 - u above."""
-        if not 1.0 < k < 3.0:
-            raise DomainError(f"toy model needs k in (1, 3), got {k}")
+        _check_k(k)
         return cls(slope_zero=k, slope_kappa=-1.0, kappa=2.0)
 
 

@@ -122,8 +122,8 @@ def _cmd_toy(args) -> int:
     c_star, regime = toyfront.minimal_speed(args.h, args.k)
     pairs += [("h", args.h), ("c_sharp", c_sharp), ("c_star", c_star), ("regime", regime)]
     if regime == "pushed":
-        tq = toyfront.ToyQuantities.at(c_star, args.h, args.k)
-        pairs += [("ratio_T", tq.ratio_T), ("target", tq.target)]
+        pairs += [("ratio_T", toyfront.ratio_T(c_star, args.h, args.k)),
+                  ("target", (3.0 - args.k) / 4.0)]
     if args.transitions:
         pairs.append(("h_pushed_to_pulled", toyfront.pushed_to_pulled_delay(args.k)))
         pairs.append(("h_oscillation", toyfront.oscillation_threshold(args.k)))
@@ -185,6 +185,10 @@ def _cmd_simulate(args) -> int:
         dx=args.dx, dt=args.dt, snapshot_times=snaps,
     )
     res = pdesim.run(cfg)
+    for ts in snaps:
+        if round(ts / cfg.dt) * cfg.dt > res.t_final:
+            print(f"simulate: no snapshot at t={_fmt(ts)}: the run stopped at the "
+                  f"left wall at t={_fmt(res.t_final)}", file=sys.stderr)
     man = _Manifest("simulate", vars(args), args.out)
     man.write_csv("trajectory.csv", "t,x_level", *res.level_trajectory.T)
     x = cfg.x_min + cfg.dx * np.arange(cfg.n_points)
@@ -199,6 +203,7 @@ def _cmd_simulate(args) -> int:
                 "fit_residual": res.fit_residual,
                 "u_min": res.u_min,
                 "u_max": res.u_max,
+                "t_final": res.t_final,
             },
             indent=2,
         )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from . import chareq
 from .errors import AccuracyError, DomainError
 from .toyfront import birth_rate
 
@@ -60,8 +61,7 @@ class SimConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.k < 3.0:
-            raise DomainError(f"k must lie in (1, 3), got {self.k}")
+        chareq._check_k(self.k)
         grid = (self.h, self.t_end, self.x_min, self.x_max, self.dx, self.dt)
         if not (np.all(np.isfinite(grid)) and self.h >= 0.0
                 and min(self.dx, self.dt, self.t_end) > 0.0):
@@ -109,6 +109,10 @@ class SimState:
 
 @dataclass
 class SimResult:
+    """What run() returns.  t_final is the time of the last step taken:
+    t_end to the step grid, or at least one step short of it when the run
+    stopped at the left wall; snapshot times past it were never reached."""
+
     snapshots: list[tuple[float, np.ndarray]]
     level_trajectory: np.ndarray  # columns (t, x_level)
     c_ns: float
@@ -116,6 +120,7 @@ class SimResult:
     fit_residual: float
     u_min: float
     u_max: float
+    t_final: float
 
 
 def init_cauchy(config: SimConfig) -> SimState:
@@ -197,8 +202,8 @@ def run(config: SimConfig) -> SimResult:
     The trajectory of the level crossing is recorded every step; the run
     stops early once the crossing comes within stop_margin of x_min so the
     Dirichlet wall cannot contaminate the speed fit.  Snapshots are taken at
-    the requested times (rounded to the step grid).  cn_step replaces
-    state.u and never writes into it, so snapshots share its arrays.
+    the requested times (rounded to the step grid) up to t_final.  cn_step
+    replaces state.u and never writes into it, so snapshots share its arrays.
     """
     state = init_cauchy(config)
     snap_steps = {int(round(ts / config.dt)) for ts in config.snapshot_times}
@@ -228,6 +233,7 @@ def run(config: SimConfig) -> SimResult:
         fit_residual=residual,
         u_min=u_min,
         u_max=u_max,
+        t_final=state.t,
     )
 
 

@@ -32,8 +32,9 @@ class SpeedCurveSample:
     """One h-row of the phase diagram sweep.
 
     Absent curves (c_kappa below h_star, c_bound outside its interval) are
-    None; error carries a per-row failure message instead of aborting a
-    sweep.
+    None; monotone_front says whether c_star lies in D_kappa, the class
+    build_profile reports; error carries a per-row failure message instead
+    of aborting a sweep.
     """
 
     h: float
@@ -84,7 +85,7 @@ def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
     c_kappa = chareq.c_kappa_curve(h, params) if h > hs else None
     c_bound = c_bound_curve(h, params.slope_kappa) if hs < h <= h_hat else None
     c_star, regime = toyfront.minimal_speed(h, params.slope_zero)
-    monotone = bool(h <= hs or (c_kappa is not None and c_star <= c_kappa))
+    monotone = chareq._dkappa_margin(c_star, c_star * h, params.slope_kappa) > 0.0
     return SpeedCurveSample(
         h=h,
         c_sharp=c_sharp,

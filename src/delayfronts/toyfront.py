@@ -36,7 +36,6 @@ from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "ToyQuantities",
     "WaveProfile",
     "LimitQuantities",
     "birth_rate",
@@ -53,8 +52,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# forward integration halts once rounding noise in the unstable direction
-# could reach this size
+# forward integration halts once the unstable mode has grown by this over
+# eps, so that a rounding-size seed stays below it
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
 # build_profile's residual gate and the smallest step that can pass it: the
@@ -74,31 +73,13 @@ def birth_rate(u, k: float):
     return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ToyQuantities:
-    """The selection ratio and its target at one (c, h, k).
-
-    The front at speed c is admissible iff ratio_T >= target, with equality
-    exactly at the pushed minimal speed.
-    """
-
-    k: float
-    ratio_T: float
-    target: float
-
-    @classmethod
-    def at(cls, c: float, h: float, k: float) -> "ToyQuantities":
-        return cls(k=k, ratio_T=ratio_T(c, h, k), target=(3.0 - k) / 4.0)
-
-
 def nondelay_minimal_speed(k: float) -> tuple[float, str]:
     """Minimal speed of the non-delayed model.
 
     (1+k)/sqrt(2(3-k)) with a pushed front for k in (1, 5/3]; the linear
     value 2*sqrt(k-1) with a pulled front for k above 5/3.
     """
-    if not 1.0 < k < 3.0:
-        raise DomainError(f"k must lie in (1, 3), got {k}")
+    chareq._check_k(k)
     if k <= 5.0 / 3.0:
         return (1.0 + k) / math.sqrt(2.0 * (3.0 - k)), "pushed"
     return 2.0 * math.sqrt(k - 1.0), "pulled"
@@ -136,8 +117,7 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
     """
     if h < 0.0:
         raise DomainError("delay must be nonnegative")
-    if not 1.0 < k < 3.0:
-        raise DomainError(f"k must lie in (1, 3), got {k}")
+    chareq._check_k(k)
     T = (3.0 - k) / 4.0
     F0 = 2.0 * T * T + k - 1.0
     F = lambda q: (
@@ -198,14 +178,15 @@ class WaveProfile:
     the normalization phi(-ch) = 1; the numeric segment continues the
     delayed linear equation phi'' - c phi' - phi + 4 - phi(t-ch) = 0 on
     [0, terminal_time] by one-step RK4 with Hermite-interpolated delayed
-    values.  classification is "oscillatory" when phi - 2 changes sign more
-    than once on the numeric segment, which can end before a slow
-    oscillation shows; in_region_Dkappa (two negative roots of chi_kappa
-    at c) is the spectral class: outside it the front oscillates around 2.
-    residual_max is the worst scaled
-    equation residual |R|/(1+|phi|) from independent five-point stencils
-    (windows of 2.5 steps around the derivative kinks at t = 0, ch, 2ch are
-    excluded; the analytic tail satisfies the equation identically).
+    values.  in_region_Dkappa is True when chi_kappa has two negative roots
+    at c (chareq._dkappa_margin > 0), and classification is read from it:
+    "monotone" inside D_kappa, "oscillatory" outside it, where phi - 2
+    changes sign without end, however slowly.  settle_offset is the least
+    |phi - 2| on the trailing half of the numeric segment.  residual_max is
+    the worst scaled equation residual |R|/(1+|phi|) from independent
+    five-point stencils (windows of 2.5 steps around the derivative kinks at
+    t = 0, ch, 2ch are excluded; the analytic tail satisfies the equation
+    identically).
     """
 
     c: float
@@ -222,11 +203,13 @@ class WaveProfile:
     dphi: np.ndarray = field(repr=False)
     terminal_time: float
     residual_max: float
-    classification: str
-    sign_changes: int
     in_region_Dkappa: bool
-    settle_window: tuple[float, float]
     settle_offset: float
+
+    @property
+    def classification(self) -> str:
+        """The spectral class: "monotone" inside D_kappa, else "oscillatory"."""
+        return "monotone" if self.in_region_Dkappa else "oscillatory"
 
     def tail(self, t):
         """Analytic tail phi(t) for t <= 0."""
@@ -306,9 +289,12 @@ def build_profile(
 ) -> WaveProfile:
     """Construct the wavefront profile at speed c >= minimal_speed(h, k).
 
-    The continuation runs to T_stop = min(t_max, ln(1e-8/eps)/mu1): past
-    that point rounding noise amplified along the unstable mode e^{mu1 t}
-    could exceed 1e-8.  The default step ch/m satisfies
+    The continuation runs to T_stop = min(t_max, ln(1e-8/eps)/mu1), where
+    the unstable mode e^{mu1 t} has grown by 1e-8/eps ~ 4.5e7.  That keeps
+    what rounding seeds in it under 1e-8, but not what the O(dt^4)
+    truncation error of RK4 seeds: at k = 1.2, c = c* and the default step,
+    halving the step moves phi(T_stop) by 1.8e-7, 4.3e-7, 5.8e-6 and 1.4e-4
+    at h = 0, 0.5, 2 and 6.  The default step ch/m satisfies
     step <= 1e-3 * max(1, 1/c); a user grid_step is snapped to the nearest
     exact divisor of ch.  Structural guarantees (checked, not assumed):
     phi < 3 everywhere, phi > 1 after the junction, scaled residual at or
@@ -353,13 +339,6 @@ def build_profile(
             "structural violation: continuation dipped to 1; no glued wavefront"
         )
 
-    sgn = np.sign(phi - 2.0)
-    nz = sgn != 0.0
-    changes = int(np.sum(sgn[:-1][nz[:-1] & nz[1:]] * sgn[1:][nz[:-1] & nz[1:]] < 0.0))
-    classification = "oscillatory" if changes > 1 else "monotone"
-    win = t >= 0.5 * t[-1]
-    settle = float(np.min(np.abs(phi[win] - 2.0)))
-
     return WaveProfile(
         c=c,
         h=h,
@@ -375,11 +354,8 @@ def build_profile(
         dphi=v,
         terminal_time=t[-1],
         residual_max=residual_max,
-        classification=classification,
-        sign_changes=changes,
         in_region_Dkappa=chareq._dkappa_margin(c, ch, -1.0) > 0.0,
-        settle_window=(0.5 * t[-1], t[-1]),
-        settle_offset=settle,
+        settle_offset=float(np.min(np.abs(phi[t >= 0.5 * t[-1]] - 2.0))),
     )
 
 
@@ -463,8 +439,7 @@ class LimitQuantities:
 
 
 def limit_quantities(k: float) -> LimitQuantities:
-    if not 1.0 < k < 3.0:
-        raise DomainError(f"k must lie in (1, 3), got {k}")
+    chareq._check_k(k)
     rtol = 4 * _EPS
     # e^{-w}(2 + w) = a  <=>  -(2 + w) e^{-(2 + w)} = -a / e^2: the positive
     # w_plus on the W_{-1} branch, the w_minus below -2 on W0

@@ -199,13 +199,10 @@ def test_10_front_shape_comparison():
     h, k = 0.5, 1.2
     c_star, _ = minimal_speed(h, k)
     prof = build_profile(c_star, h, k)
-    res = run(SimConfig(h=h, k=k, t_end=24.0, stop_margin=0.0))
+    res = run(SimConfig(h=h, k=k, t_end=24.0, stop_margin=0.0, snapshot_times=(24.0,)))
     t_late, x_front = res.level_trajectory[-1]
-    # rerun with a snapshot stored at the final recorded time
-    res = run(
-        SimConfig(h=h, k=k, t_end=24.0, stop_margin=0.0, snapshot_times=(t_late,))
-    )
     t_snap, u = res.snapshots[-1]
+    assert t_snap == t_late
     x = np.linspace(-25.0, 25.0, u.size)
     mask = (x >= x_front - 10.0) & (x <= x_front + 20.0) & (np.abs(x) <= 23.0)
     xi = x[mask] - x_front - c_star * h

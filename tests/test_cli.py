@@ -42,6 +42,7 @@ class TestToy:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["c_star"]) == pytest.approx(0.6562, abs=5e-4)
         assert kv["regime"] == "pushed"
+        assert kv["ratio_T"] == kv["target"] == "0.45"
 
     def test_limits(self, capsys):
         assert main(["toy", "--k", "1.5", "--limits"]) == 0
@@ -216,6 +217,18 @@ class TestProfileKernelSimulate:
         assert (out / "snapshot_t20.csv").exists()
         traj = (out / "trajectory.csv").read_text().strip().split("\n")
         assert traj[0] == "t,x_level"
+
+    def test_simulate_names_snapshots_past_the_wall_stop(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        args = ["simulate", "--k", "1.2", "--h", "0.5", "--t-end", "100",
+                "--snapshots", "10,100", "--out", str(out)]
+        assert main(args) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["t_final"] == pytest.approx(31.96, abs=1e-9)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["simulate: no snapshot at t=100: the run stopped at the "
+                       "left wall at t=31.96"]
+        assert sorted(p.name for p in out.glob("snapshot_*")) == ["snapshot_t10.csv"]
 
     def test_table_single_row(self, tmp_path):
         out = tmp_path / "tab"

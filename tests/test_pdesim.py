@@ -183,6 +183,15 @@ class TestRun:
         assert res.snapshots[1][0] == pytest.approx(1.0, abs=1e-9)
         assert res.snapshots[1][1].shape == (1001,)
 
+    def test_t_final_marks_the_wall_stop(self):
+        cfg = SimConfig(h=0.5, k=1.2, t_end=100.0, snapshot_times=(10.0, 100.0))
+        res = run(cfg)
+        assert res.t_final == res.level_trajectory[-1, 0]
+        assert res.t_final < cfg.t_end - cfg.dt / 2
+        assert [t for t, _ in res.snapshots] == [1000 * cfg.dt]
+        full = run(SimConfig(h=0.5, k=1.2, t_end=2.0))
+        assert full.t_final == 200 * cfg.dt == 2.0
+
     def test_clock_is_step_count_times_dt(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=20.0)
         res = run(cfg)

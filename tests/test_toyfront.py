@@ -88,16 +88,6 @@ class TestRatioT:
         assert np.all(np.diff(vals) > 0)
 
 
-class TestToyQuantities:
-    def test_equality_at_pushed_minimal_speed(self):
-        from delayfronts import ToyQuantities
-
-        c_star, _ = minimal_speed(0.5, 1.2)
-        tq = ToyQuantities.at(c_star, 0.5, 1.2)
-        assert tq.ratio_T == pytest.approx(tq.target, abs=1e-10)
-        assert tq.target == pytest.approx(0.45, abs=1e-15)
-
-
 class TestMinimalSpeed:
     @pytest.mark.parametrize("h,expected", [(0.5, 0.6562), (6.0, 0.1348)])
     def test_reference_rows(self, h, expected):
@@ -327,9 +317,23 @@ class TestBuildProfile:
         c, _ = minimal_speed(6.0, 1.2)
         prof = build_profile(c, 6.0, 1.2)
         assert prof.classification == "oscillatory"
-        assert prof.sign_changes > 1
+        sgn = np.sign(prof.phi - 2.0)
+        sgn = sgn[sgn != 0.0]
+        assert np.count_nonzero(sgn[1:] != sgn[:-1]) > 1
         assert 2.0 < prof.phi.max() < 3.0
         assert prof.settle_offset <= 1e-3
+
+    # outside D_kappa, yet phi - 2 changes sign at most once on the window
+    @pytest.mark.parametrize("k,h,factor", [
+        (1.05, 4.75, 1.1), (1.05, 5.0, 1.1), (1.1, 3.75, 1.1), (1.1, 5.75, 1.0),
+        (1.1, 6.0, 1.0), (1.7, 1.0, 1.1), (2.9, 0.75, 1.0), (1.4, 1.8, 1.0),
+        (1.2, 3.3, 1.0),
+    ])
+    def test_slow_oscillation_classified_spectrally(self, k, h, factor):
+        c = factor * minimal_speed(h, k)[0]
+        prof = build_profile(c, h, k)
+        assert prof.in_region_Dkappa is False
+        assert prof.classification == "oscillatory"
 
     def test_structural_bounds_above_minimal(self):
         prof = build_profile(0.8, 0.5, 1.2)
