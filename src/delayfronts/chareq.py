@@ -12,12 +12,11 @@ exponents are the zeros of
 where s is the slope of g at the equilibrium.  Everything in this module
 is about locating those zeros: the two positive roots at the unstable
 state (s > 1), the three real roots at the positive state (s < 0), the
-double-root systems that define the critical speed curves, and a contour
-count certifying that no complex zero sneaks to the right of the real
-ones.  That count covers the half-plane Re z > re_lo: no zero there has
-|z| > R = (c + sqrt(c^2 + 4(1 + |s| e^{-re_lo c h})))/2, and on the
-outer edges of [re_lo, R+1] x [-(R+1), R+1] |chi| > 1, so only the left
-edge can meet a zero.
+double-root systems that define the critical speed curves, and a count
+certifying that no complex zero sneaks to the right of the real ones.
+That count covers the half-plane Re z > re_lo and reads only the line
+Re z = re_lo: the signs of Im chi at the sign changes of Re chi there
+(Stepan's formula for a retarded quasi-polynomial).
 
 The real turning points of chi are Lambert W closed forms (_critical_point).
 They bracket the real roots, decide whether those exist, and give the
@@ -323,99 +322,76 @@ def c_kappa_curve(h: float, params: ModelParams) -> float:
     return brentq(G, lo, hi, xtol=1e-300, rtol=_RTOL)
 
 
-# -- contour certification ---------------------------------------------------
+# -- root counting on a vertical line ----------------------------------------
 
 _MIN_MODULUS = 1e-9
 _MAX_NUDGES = 5
 _NUDGE = 1e-6
+# count_zeros_right_of refuses more monotone pieces of R' than this, about
+# (c h / pi) sqrt(A + |B|): at (c, h, s) = (1, 2, -1) a piece cost 50-60 us
+# from 699 to 38,118 pieces (x86-64 Xeon, Python 3.11, scipy 1.17), so the
+# cap is ~5-6 s of work.
+_MAX_PIECES = 100_000
 
 
-class _ContourThroughZero(Exception):
-    pass
-
-
-def _edge_integral(c, h, slope, a, b, tol):
-    """Adaptive trapezoid of chi'/chi along the segment [a, b].
-
-    Intervals are bisected until the local two-panel estimate settles; the
-    per-interval budget is proportional to arclength.  Evaluations run in
-    numpy batches off a worklist.  Raises _ContourThroughZero if |chi| dips
-    below the minimum-modulus threshold at any node.
-    """
-
-    def f(z):
-        E = np.exp(-z * c * h)
-        chi = z * z - c * z - 1.0 + slope * E
-        if np.min(np.abs(chi)) < _MIN_MODULUS:
-            raise _ContourThroughZero
-        return (2.0 * z - c - slope * c * h * E) / chi
-
-    total_len = abs(b - a)
-    az = np.array([a], dtype=complex)
-    bz = np.array([b], dtype=complex)
-    fa = f(az)
-    fb = f(bz)
-    coarse = 0.5 * (fa + fb) * (bz - az)
-    acc = 0.0 + 0.0j
-    for _ in range(52):
-        mid = 0.5 * (az + bz)
-        fm = f(mid)
-        left = 0.5 * (fa + fm) * (mid - az)
-        right = 0.5 * (fm + fb) * (bz - mid)
-        fine = left + right
-        budget = tol * np.abs(bz - az) / total_len
-        done = np.abs(fine - coarse) <= budget
-        acc += np.sum(fine[done])
-        if np.all(done):
-            return acc
-        keep = ~done
-        az = np.concatenate([az[keep], mid[keep]])
-        bz = np.concatenate([mid[keep], bz[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
-    # depth exhausted: accept the remaining fine estimates
-    return acc + np.sum(0.5 * (fa + fb) * (bz - az))
+def _flips(f, x):
+    """Roots of f at its sign changes between the sorted nodes x (f monotone
+    between neighbours), with f's sign, as +-1, just left of each."""
+    pos = f(x) > 0.0
+    i = np.flatnonzero(pos[:-1] != pos[1:])
+    roots = [brentq(f, x[j], x[j + 1], xtol=1e-300, rtol=_RTOL) for j in i]
+    return np.array(roots), np.where(pos[i], 1.0, -1.0)
 
 
 def count_zeros_right_of(c: float, h: float, slope: float, re_lo: float) -> int:
-    """Number of characteristic zeros with Re z > re_lo, by winding count.
+    """Number of characteristic zeros with Re z > re_lo, by Stepan's formula.
 
-    With c h >= 0, Re z >= re_lo and |z| > R = (c + sqrt(c^2 + 4(1 + B)))/2,
-    B = |s| e^{-re_lo c h}: |z^2 - c z - 1| >= |z|^2 - c|z| - 1 > B >=
-    |s e^{-z c h}|, so [re_lo, R+1] x [-(R+1), R+1] holds every zero of the
-    half-plane, and |chi| >= 2R + 1 - c > 1 on its three outer edges: only
-    the left edge can meet a zero.  chi'/chi is integrated around it with
-    adaptive trapezoid panels, tightening the tolerance until the winding
-    number sits within 1e-3 of an integer.  A zero on (or hugging) the left
-    edge moves it left by 1e-6 steps, a bounded number of times; R is taken
-    at the leftmost edge.  c <= 0 or h < 0 raises DomainError.
+    On the line z = re_lo + i w, chi = R(w) + i S(w) with tau = c h,
+    A = re_lo^2 - c re_lo - 1, B = s e^{-re_lo tau},
+    R = A - w^2 + B cos(w tau) and S = (2 re_lo - c) w - B sin(w tau).
+    arg chi turns by pi (1 - N) as w runs over (0, inf), so
+    N = 1 - sum_k sgn R(rho_k - 0) sgn S(rho_k) over the sign changes
+    0 < rho_1 < rho_2 < ... of R (Stepan 1989), all below sqrt(A + |B|).
+    R'' = -2 - B tau^2 cos(w tau) vanishes in closed form; R' is monotone
+    between those zeros and R between the bracketed zeros of R', so every
+    rho_k is bracketed with certainty.  A zero on (or hugging) the line
+    moves it left by 1e-6 steps, a bounded number of times.  Past
+    r + 1, r = (c + sqrt(c^2 + 4(1 + |B|)))/2, |z^2 - c z - 1| > |B|
+    leaves no zero and the answer is 0.  c <= 0, h < 0, an overflowing
+    e^{-re_lo tau} or over _MAX_PIECES monotone pieces raise DomainError.
     """
     if c <= 0.0 or h < 0.0:
         raise DomainError("count_zeros_right_of needs c > 0 and h >= 0")
-    B = abs(slope) * math.exp(-(re_lo - _MAX_NUDGES * _NUDGE) * c * h)
-    top = 1.0 + 0.5 * (c + math.sqrt(c * c + 4.0 * (1.0 + B)))  # R + 1
-    if re_lo >= top:
+    tau = c * h
+    try:
+        E = math.exp(-(re_lo - _MAX_NUDGES * _NUDGE) * tau)
+    except OverflowError:
+        raise DomainError(f"e^(-re_lo c h) overflows at re_lo c h = {re_lo * tau:.4g}") from None
+    if re_lo >= 1.0 + 0.5 * (c + math.sqrt(c * c + 4.0 * (1.0 + abs(slope) * E))):
         return 0
     for nudge in range(_MAX_NUDGES + 1):
         lo = re_lo - nudge * _NUDGE
-        corners = [complex(lo, -top), complex(top, -top),
-                   complex(top, top), complex(lo, top)]
-        tol = 2e-4
-        try:
-            for _ in range(4):
-                total = sum(
-                    _edge_integral(c, h, slope, a, b, tol)
-                    for a, b in zip(corners, corners[1:] + corners[:1])
-                )
-                w = total / (2j * np.pi)
-                n = round(w.real)
-                if abs(w.real - n) <= 1e-3 and abs(w.imag) <= 1e-3 and n >= 0:
-                    return int(n)
-                tol /= 10.0
-            raise AccuracyError(
-                f"winding number failed to settle near an integer (got {w})"
-            )
-        except _ContourThroughZero:
+        A = lo * lo - c * lo - 1.0
+        B = slope * math.exp(-lo * tau)
+        tol = _MIN_MODULUS * (1.0 + abs(A) + abs(B))
+        if abs(A + B) < tol:
             continue
-    raise AccuracyError("a characteristic zero sits on the contour after max nudges")
+        top = math.sqrt(max(A + abs(B), 0.0)) + 1.0
+        turns = np.empty(0)
+        if abs(B) * tau * tau >= 2.0:
+            n = top * tau / math.pi
+            if n > _MAX_PIECES:
+                raise DomainError(f"~{n:.3g} monotone pieces of R' exceed {_MAX_PIECES}")
+            # R'' = 0 where w tau = 2 pi j +- acos(-2 / (B tau^2))
+            j = 2.0 * math.pi * np.arange(math.ceil(0.5 * n) + 2)
+            th = math.acos(-2.0 / (B * tau * tau))
+            turns = np.concatenate([j + th, j - th]) / tau
+        nodes = np.unique(np.clip(np.append(turns, [0.0, top]), 0.0, top))
+        dR = lambda w: -2.0 * w - B * tau * np.sin(w * tau)
+        nodes = np.union1d(nodes, _flips(dR, nodes)[0])
+        rho, left = _flips(lambda w: A - w * w + B * np.cos(w * tau), nodes)
+        S = (2.0 * lo - c) * rho - B * np.sin(rho * tau)
+        if np.any(np.abs(S) < tol):
+            continue
+        return int(1.0 - np.sum(left * np.sign(S)))
+    raise AccuracyError("a characteristic zero sits on the line after max nudges")

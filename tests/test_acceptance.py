@@ -135,7 +135,6 @@ def test_06_kernel_properties(toy12):
     )
 
 
-@pytest.mark.slow
 def test_07_root_dominance_certification(toy12):
     # every zero with Re z > mu3 - 1e-4 is counted: the three real ones, and
     # any complex zero that would sit right of mu3

@@ -14,7 +14,6 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
 )
-from delayfronts import chareq
 from delayfronts.chareq import _critical_point, _dkappa_margin, eval_char_dz
 
 from conftest import sample_dkappa
@@ -428,7 +427,7 @@ class TestCountZeros:
         r = roots_at_kappa(0.5, 1.0, toy12)
         assert count_zeros_right_of(0.5, 1.0, -1.0, r.mu3 - 1e-4) == 3
 
-    def test_empty_region_certified_by_modulus_scan(self, toy12, monkeypatch):
+    def test_empty_region_certified_by_modulus_scan(self, toy12):
         c, h = 0.5, 1.0
         r = roots_at_kappa(c, h, toy12)
         lo = r.mu1 + 0.5
@@ -436,16 +435,10 @@ class TestCountZeros:
                               np.linspace(-20.0, 20.0, 400))
         assert np.min(np.abs(eval_char(re + 1j * ims, c, h, -1.0))) > 1e-2  # oracle
         assert count_zeros_right_of(c, h, -1.0, lo) == 0
-
-        # right of R + 1 the bound alone answers, with no contour integral
-        def no_integral(*args):
-            raise AssertionError("integrated")
-
-        monkeypatch.setattr(chareq, "_edge_integral", no_integral)
         assert count_zeros_right_of(c, h, -1.0, 10.0) == 0
 
     def test_zero_on_the_left_edge_is_counted(self, toy12):
-        # chi(mu2) ~ 0 at the edge's real-axis node: the edge moves left
+        # chi(mu2) ~ 0 at w = 0 on the half-plane's edge: the edge moves left
         r = roots_at_kappa(0.5, 1.0, toy12)
         assert count_zeros_right_of(0.5, 1.0, -1.0, r.mu2) == 2
 
@@ -453,6 +446,35 @@ class TestCountZeros:
     def test_domain_errors(self, c, h):
         with pytest.raises(DomainError):
             count_zeros_right_of(c, h, -1.0, -1.0)
+
+    @pytest.mark.parametrize("re_lo", [-100.0, -30.0])
+    def test_refuses_unbounded_work(self, re_lo):
+        # at (c, h) = (1, 10): e^{1000} overflows; e^{300} is finite, but R'
+        # would have ~4e65 monotone pieces
+        with pytest.raises(DomainError):
+            count_zeros_right_of(1.0, 10.0, -1.0, re_lo)
+
+    def test_quadratic_at_zero_delay(self):
+        # h = 0: chi is z^2 - c z - 1 + s, whose roots are known
+        rng = np.random.default_rng(7)
+        cases = [(1.0, 0.5, -3.0)]  # s > 0: R(w) = 11.5 - w^2 vanishes at sqrt(A + |B|)
+        while len(cases) < 60:
+            c, s, lo = rng.uniform(0.1, 5.0), rng.uniform(-4.0, 4.0), rng.uniform(-3.0, 2.0)
+            if np.min(np.abs(np.roots([1.0, -c, s - 1.0]).real - lo)) > 1e-3:
+                cases.append((c, s, lo))
+        assert min(s for _, s, _ in cases) < 0.0 < max(s for _, s, _ in cases)
+        for c, s, lo in cases:
+            expected = int(np.sum(np.roots([1.0, -c, s - 1.0]).real > lo))
+            assert count_zeros_right_of(c, 0.0, s, lo) == expected, (c, s, lo)
+
+    def test_zero_state_roots_dominate(self):
+        # no complex zero right of lambda2 at the unstable state (s = k > 1)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            k, h = rng.uniform(1.05, 2.9), rng.uniform(0.0, 6.0)
+            c = rng.uniform(1.001, 2.0) * double_root_speed(h, k)[0]
+            r = roots_at_zero(c, h, ModelParams.toy(k))
+            assert count_zeros_right_of(c, h, k, r.lambda2 - 1e-4) == 2, (k, h, c)
 
     def test_random_draws_give_three(self, toy12):
         rng = np.random.default_rng(11)
@@ -471,3 +493,5 @@ class TestCountZeros:
         assert complex(pairs[1]) == pytest.approx(-4.00900475 + 54.89595172j, abs=1e-8)
         counts = [count_zeros_right_of(1.0, 2.0, -1.0, x) for x in (-3.9, -4.0, -4.05)]
         assert counts == [33, 35, 37]
+        # on the first pair's real part the line moves left past it
+        assert count_zeros_right_of(1.0, 2.0, -1.0, float(pairs[0].real)) == 35
