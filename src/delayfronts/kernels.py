@@ -28,7 +28,9 @@ import numpy as np
 from . import chareq
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
-from .toyfront import _delay_rk4, birth_rate
+from .toyfront import (
+    _EPS, _UNSTABLE_TOL, _check_positive, _delay_rk4, _mode_part, birth_rate,
+)
 
 __all__ = [
     "KernelGrid",
@@ -39,11 +41,6 @@ __all__ = [
     "check_factorization",
 ]
 
-# forward integration of D2 y = 0 stops when |y| rebounds off its running
-# minimum by this factor (the unstable e^{mu1 t} direction surfacing)
-_NOISE_REBOUND = 8.0
-# and rolls back until the surfacing mode is ~30x below the signal
-_ROLLBACK = 30.0
 _SUPPORT_DECADES = 23.03  # e^-23.03 < 1e-10
 _RELATIVE_FLOOR = 1e-13
 
@@ -55,7 +52,7 @@ class KernelGrid:
     For psi the node at t = 0 stores the right limit and jump_at_zero is 1;
     theta and N carry jump 0 (theta's unit step at 0 is its support edge,
     not an interior jump of the stored grid).  cut_at_t_max: the caller's
-    t_max, not the tail cutoff or the noise floor, ended psi's window.
+    t_max, not the tail cutoff, ended psi's window.
     """
 
     t: np.ndarray
@@ -106,14 +103,16 @@ def psi_kernel(
     at 0 then launches the forward solution of D2 y = 0, integrated as the
     equivalent ODE system in (y, I) with I(t) the exponential history
     integral (I' = mu2 I + y(t) - e^{mu2 ch} y(t-ch)), classical RK4, and
-    cubic-Hermite reads of the stored delayed values.  The forward window
-    ends at min(t_max, tail cutoff, noise floor): past the noise floor the
-    unstable e^{mu1 t} direction, seeded at rounding level, would drown the
-    e^{mu3 t} tail.  All samples are strictly negative (checked; the h = 0
-    limit, identically zero for t > 0, is exempt).
+    cubic-Hermite reads of the stored delayed values.  What rounding and RK4
+    seed in the modes e^{mu1 t} and e^{mu2 t}, which psi lacks, is projected
+    out (toyfront._mode_part).  The forward window ends at min(t_max, tail
+    cutoff, T_stop); a step or t_max that is not positive is a DomainError.
+    All samples are strictly negative (checked; the h = 0 limit, identically
+    zero for t > 0, is exempt).
     """
+    _check_positive(t_max=t_max, step=step)
     roots = _require_region(c, h, params)
-    mu1, mu2 = roots.mu1, roots.mu2
+    mu1, mu2, mu3 = roots.mu1, roots.mu2, roots.mu3
     gk = params.slope_kappa
     amp = -(mu1 - mu2) / chareq.eval_char_dz(mu1, c, h, gk)
 
@@ -127,55 +126,44 @@ def psi_kernel(
         vals = np.where(t < 0.0, amp * np.exp(mu1 * t), 0.0)
         return KernelGrid(t, vals, dt, 1.0, mu1, mu2, None)
 
-    mu3 = roots.mu3
     ch = c * h
-    if step is None:
-        m = 200
-        dt = ch / m
-    else:
-        m = max(4, int(round(ch / step)))
-        dt = ch / m
+    m = 200 if step is None else max(4, int(round(ch / step)))
+    dt = ch / m
     psi0 = 1.0 + amp
     beta = gk * np.exp(-ch * mu2)
     decay = np.exp(mu2 * ch)
-    T_tail = 1.2 * _SUPPORT_DECADES / abs(mu3)
-    T_pos = T_tail if t_max is None else min(t_max, T_tail)
+    # past build_profile's T_stop a rounding seed of e^{mu1 t} outgrows psi's tail
+    T_end = min(1.2 * _SUPPORT_DECADES / abs(mu3), np.log(_UNSTABLE_TOL / _EPS) / mu1)
+    T_pos = T_end if t_max is None else min(t_max, T_end)
     n_pos = max(int(np.ceil(T_pos / dt)), 2)
     n_neg = int(np.ceil(_SUPPORT_DECADES / mu1 / dt))
 
     iv = amp * (1.0 - np.exp(-(mu1 - mu2) * ch)) / (mu1 - mu2)
-    runmin, argmin = abs(psi0), 0
-    clean = None  # last sample still clear of the noise floor, once it is hit
-
-    def noise_floor(i, yv):
-        nonlocal runmin, argmin, clean
-        a = abs(yv)
-        if yv >= 0.0 or a > _NOISE_REBOUND * runmin:
-            clean = argmin
-            return True
-        if a < runmin:
-            runmin, argmin = a, i
-        return False
-
     # y' = (c - mu2) y + beta I, I' = mu2 I + y - decay y(t - ch); the closed
     # form amp e^{mu1 s} is the history and y's left limit at s = 0
-    y, _ = _delay_rk4(
+    y, dy = _delay_rk4(
         (c - mu2, beta, 1.0, mu2), 0.0, -decay, psi0, iv, dt, n_pos, m,
-        lambda x: amp * np.exp(mu1 * x * dt), noise_floor,
+        lambda x: amp * np.exp(mu1 * x * dt),
     )
-    if clean is not None:
-        margin = int(np.log(_ROLLBACK) / ((mu1 - mu3) * dt))
-        y = y[: max(2, clean - margin) + 1]
+    # psi solves y'' = c y' + y - g'(kappa) y(t - ch) without its modes e^{mu1 t}
+    # (unbounded) and e^{mu2 t} (D1's, spurious in the (y, I) system); before 0
+    # amp e^{mu1 u} adds amp e^{lam (s - ch)} int_0^r e^{(lam - mu1) v} dv
+    s = dt * np.arange(n_pos + 1)
+    r = np.maximum(ch - s, 0.0)
+    modes = np.zeros_like(y)
+    for lam, span in ((mu1, r), (mu2, np.expm1((mu2 - mu1) * r) / (mu2 - mu1))):
+        left = amp * np.exp(lam * (s - ch)) * span
+        modes += _mode_part(y, dy, c, h, gk, lam, dt, m, left)
+    y = y - modes
 
     t_neg = -dt * np.arange(n_neg, 0, -1)
-    t = np.concatenate([t_neg, dt * np.arange(len(y))])
+    t = np.concatenate([t_neg, s])
     vals = np.concatenate([amp * np.exp(mu1 * t_neg), y])
     if np.any(vals >= 0.0):
         raise AccuracyError(
             "psi kernel lost strict negativity; refine the step"
         )
-    cut = clean is None and T_pos < T_tail
-    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, cut_at_t_max=cut)
+    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, cut_at_t_max=T_pos < T_end)
 
 
 def N_kernel(

@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# forward integration halts once the unstable mode has grown by this over
-# eps, so that a rounding-size seed stays below it
+# build_profile's window ends where the unstable mode has grown by this over
+# eps (the mode itself is projected out)
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
 # build_profile's residual gate and the smallest step that can pass it: the
@@ -178,7 +178,8 @@ class WaveProfile:
     the normalization phi(-ch) = 1; the numeric segment continues the
     delayed linear equation phi'' - c phi' - phi + 4 - phi(t-ch) = 0 on
     [0, terminal_time] by one-step RK4 with Hermite-interpolated delayed
-    values.  in_region_Dkappa is True when chi_kappa has two negative roots
+    values, its e^{mu1 t} mode projected out of phi and dphi.
+    in_region_Dkappa is True when chi_kappa has two negative roots
     at c (chareq._dkappa_margin > 0), and classification is read from it:
     "monotone" inside D_kappa, "oscillatory" outside it, where phi - 2
     changes sign without end, however slowly.  settle_offset is the least
@@ -229,7 +230,7 @@ class WaveProfile:
         return out[()] if out.ndim == 0 else out
 
 
-def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history, halt=None):
+def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history):
     """Method of steps for a delayed linear 2x2 system by classical RK4.
 
     Integrates a' = p a + q b, b' = r b + s a + const + w a(t - m dt), with
@@ -241,10 +242,7 @@ def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history, halt=None):
     Hermite interpolation.  x = 0 is reached from the left (the k4 stage of
     step m - 1 reads history(0)) and then from the right (the k1 stage of
     step m reads node 0), so a jump of a at t = 0 is seen correctly.
-
-    halt(i, a_i), if given, is called after each step with the new node and
-    ends the integration there when it returns True.  Returns the node
-    values of a and a' (n + 1 of each, or up to the halting node).
+    Returns the node values of a and a', n + 1 of each.
     """
     # plain floats: the same IEEE arithmetic as numpy scalars, done faster
     p, q, s, r = (float(x) for x in coef)
@@ -275,9 +273,39 @@ def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history, halt=None):
         bv += sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         a.append(av)
         da.append(p * av + q * bv)
-        if halt is not None and halt(i + 1, av):
-            break
     return np.array(a), np.array(da)
+
+
+def _mode_part(y, dy, c, h, s, lam, dt, m, left=None):
+    """The e^{lam t} part of y, a solution of y'' = c y' + y - s y(t - ch),
+    for a real root lam of its chi, on the nodes i dt (ch = m dt): a/chi'(lam),
+    where the bilinear form (Hale & Verduyn Lunel 1993, ch. 7)
+
+        a(t) = (lam - c) y + y' - s int_{t-ch}^t e^{-lam (u - t + ch)} y(u) du
+
+    obeys a' = lam a, is chi'(lam) e^{lam t} on that mode and 0 on the others.
+    Over the nodes the integral is the trapezoid with the Euler-Maclaurin end
+    correction, fourth order where y is C^1 with its kinks on nodes.  Before
+    node 0 it is `left`; without it a' = lam a carries a back over [0, ch)
+    from t = ch, and a run shorter than ch keeps its mode.
+    """
+    i = np.arange(len(y))
+    lo = np.maximum(i - m, 0)
+    w = np.exp(-lam * dt * np.arange(m, -1, -1))  # the weight at u = t - l dt
+    wl, g = w[i - lo], dy - lam * y
+    window = dt * (np.convolve(y, w)[: len(y)] - 0.5 * (w[0] * y + wl * y[lo]))
+    window -= dt * dt / 12.0 * (w[0] * g - wl * g[lo])
+    a = (lam - c) * y + dy - s * (window if left is None else window + left)
+    if left is None:
+        a[:m] = a[m] * np.exp(lam * dt * np.arange(-m, 0)) if len(y) > m else 0.0
+    return a / chareq.eval_char_dz(lam, c, h, s)
+
+
+def _check_positive(**values):
+    """DomainError unless each value is None or > 0 (NaN is refused too)."""
+    for name, x in values.items():
+        if x is not None and not x > 0.0:
+            raise DomainError(f"{name} must be positive, got {x}")
 
 
 def build_profile(
@@ -289,28 +317,24 @@ def build_profile(
 ) -> WaveProfile:
     """Construct the wavefront profile at speed c >= minimal_speed(h, k).
 
-    The continuation runs to T_stop = min(t_max, ln(1e-8/eps)/mu1), where
-    the unstable mode e^{mu1 t} has grown by 1e-8/eps ~ 4.5e7.  That keeps
-    what rounding seeds in it under 1e-8, but not what the O(dt^4)
-    truncation error of RK4 seeds: at k = 1.2, c = c* and the default step,
-    halving the step moves phi(T_stop) by 1.8e-7, 4.3e-7, 5.8e-6 and 1.4e-4
-    at h = 0, 0.5, 2 and 6.  The default step ch/m satisfies
-    step <= 1e-3 * max(1, 1/c); a user grid_step is snapped to the nearest
-    exact divisor of ch.  Structural guarantees (checked, not assumed):
-    phi < 3 everywhere, phi > 1 after the junction, scaled residual at or
-    below 1e-6; a step below _DT_FLOOR, too fine for that check, raises.
+    The continuation runs to T_stop = min(t_max, ln(1e-8/eps)/mu1).  What
+    rounding and RK4's O(dt^4) truncation error seed in the unstable mode
+    e^{mu1 t} is projected out of phi and phi' (_mode_part).  The
+    default step ch/m satisfies step <= 1e-3 * max(1, 1/c); a user grid_step
+    is snapped to the nearest exact divisor of ch.  Structural guarantees
+    (checked on the projected phi): phi < 3 everywhere, phi > 1 after the
+    junction, scaled residual at or below 1e-6.  A grid_step or t_max that
+    is not positive, or a step below _DT_FLOOR, too fine for the residual
+    check, is a DomainError.
     """
+    _check_positive(t_max=t_max, grid_step=grid_step)
     p = amplitude_p(c, h, k)
     lam1, lam2, mu1 = _tail_roots(c, h, k)
     ch = c * h
 
-    if h > 0.0:
-        target = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
-        m = max(16, int(np.ceil(ch / target)))
-        dt = ch / m
-    else:
-        dt = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
-        m = 0
+    target = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
+    m = max(16, int(np.ceil(ch / target))) if h > 0.0 else 0
+    dt = ch / m if m else target
     if dt < _DT_FLOOR:  # round-off alone would fail the residual check
         raise DomainError(f"profile step {dt:.3g} is below the floor {_DT_FLOOR:.2g}")
     T_stop = np.log(_UNSTABLE_TOL / _EPS) / mu1
@@ -324,6 +348,9 @@ def build_profile(
         (0.0, 1.0, 1.0, c), -4.0, 1.0, tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1),
         dt, n, m, lambda x: tail(x * dt),
     )
+    # phi - 2 solves y'' = c y' + y + y(t - ch)
+    mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
+    phi, v = phi - mode, v - mu1 * mode
     t = dt * np.arange(n + 1)
 
     residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)

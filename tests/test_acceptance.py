@@ -152,7 +152,7 @@ def test_08_profile_structural_suite():
         c_star, regime = minimal_speed(h, 1.2)
         cases.append((c_star, h, "minimal/" + regime))
         # modest above-minimal margin: far above it the slow e^{mu2 t}
-        # relaxation outlasts the noise-capped integration window
+        # relaxation outlasts the T_stop-capped integration window
         cases.append((c_star * 1.1, h, "above-minimal"))
     for c, h, label in cases:
         prof = build_profile(c, h, 1.2)

@@ -253,6 +253,19 @@ class TestProfileKernelSimulate:
         assert capsys.readouterr().err.startswith("domain error:")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("bad", [
+        ["kernel", "--c", "0.5", "--h", "1", "--step", "0"],
+        ["kernel", "--c", "0.5", "--h", "1", "--step", "nan"],
+        ["kernel", "--c", "0.5", "--h", "1", "--t-max", "-1"],
+        ["profile", "--h", "1", "--grid-step", "-0.01"],
+        ["profile", "--h", "1", "--t-max", "nan"],
+    ])
+    def test_nonpositive_step_or_t_max_is_domain_error(self, tmp_path, capsys, bad):
+        assert main([*bad, "--k", "1.2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+        assert not (tmp_path / "psi.csv").exists()
+        assert not (tmp_path / "profile.csv").exists()
+
     def test_table_jobs_byte_identical(self, tmp_path):
         base = ["table", "--k", "1.2", "--rows", "0.5,1", "--t-end", "60"]
         for jobs in ("1", "2"):

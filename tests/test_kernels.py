@@ -14,7 +14,7 @@ from delayfronts import (
     theta_kernel,
 )
 from delayfronts.chareq import eval_char_dz
-from delayfronts.kernels import _convolve_theta, check_factorization
+from delayfronts.kernels import _SUPPORT_DECADES, _convolve_theta, check_factorization
 
 from conftest import sample_dkappa
 
@@ -66,10 +66,34 @@ class TestPsi:
         assert np.all(grid.values[neg] < 0.0)
 
     def test_all_samples_negative(self, toy12):
+        # with its e^{mu1 t} and e^{mu2 t} modes projected out, psi runs to its
+        # tail cutoff (T_stop lies beyond it at every one of these points)
         rng = np.random.default_rng(23)
-        for c, h in sample_dkappa(rng, 15):
+        for c, h in [*sample_dkappa(rng, 15), *SEED0_POINTS]:
             grid = psi_kernel(c, h, toy12)
             assert grid.values.max() < 0.0, (c, h)
+            t_tail = 1.2 * _SUPPORT_DECADES / abs(grid.mu3)
+            assert grid.t_max >= t_tail - grid.step, (c, h)
+            assert not grid.cut_at_t_max
+
+    @pytest.mark.parametrize("c,h", SEED0_POINTS)
+    def test_step_independent(self, toy12, c, h):
+        # at t = 1.5: 2.0e-14 at most with the modes projected out, and
+        # 1.4e-12 to 4.1e-12 in the raw RK4 values
+        vals = []
+        for m in (200, 400, 800):
+            grid = psi_kernel(c, h, toy12, step=c * h / m)
+            vals.append(grid.values[np.argmin(np.abs(grid.t - 1.5))])
+        assert np.max(np.abs(np.diff(vals))) < 1e-13
+
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("kw", [
+        dict(step=0.0), dict(step=-0.01), dict(step=np.nan),
+        dict(t_max=0.0), dict(t_max=-1.0), dict(t_max=np.nan),
+    ])
+    def test_nonpositive_step_or_t_max_refused(self, toy12, h, kw):
+        with pytest.raises(DomainError, match="must be positive"):
+            psi_kernel(0.5, h, toy12, **kw)
 
     @pytest.mark.parametrize("c,h", [(0.5, 1.0), (0.35, 2.0), (0.2, 3.0), (1.0, 0.5)])
     def test_forward_tail_ratio_plateau(self, toy12, c, h):
@@ -160,6 +184,15 @@ class TestN:
             grid = N_kernel(c, h, toy12, step=c * h / m)
             errs.append(abs(np.trapezoid(grid.values, grid.t) + 0.5))
         assert errs[0] > errs[2]  # order >= 1 overall
+
+    @pytest.mark.parametrize("c,h", [(8.0, 0.05), (5.0, 0.1), (5.0, 0.2), (4.0, 0.3),
+                                     (8.0, 0.1)])
+    def test_large_speed(self, toy12, c, h):
+        # mu1 dt = 0.013-0.032 at the default step: without the e^{mu2 t}
+        # projection psi turned positive near its tail cutoff, and at (5, 0.2),
+        # (4, 0.3) and (8, 0.1) T_stop, not the tail cutoff, ends the window
+        grid = N_kernel(c, h, toy12)
+        assert abs(np.trapezoid(grid.values, grid.t) + 0.5) < 1e-5
 
     def test_coarse_step_raises_accuracy_error(self, toy12):
         with pytest.raises(AccuracyError, match="refine the step"):

@@ -382,6 +382,30 @@ class TestBuildProfile:
         c, _ = minimal_speed(3e-4, 1.2)
         assert build_profile(c, 3e-4, 1.2).residual_max <= 1e-6
 
+    @pytest.mark.parametrize("h", [2.0, 6.0])
+    def test_step_independent_at_a_shared_node(self, h):
+        # the raw RK4 values moved by 1.5e-6 (h = 2) and 4.0e-5 (h = 6) here
+        c, _ = minimal_speed(h, 1.2)
+        base = build_profile(c, h, 1.2)
+        m = round(c * h / base.grid_step)
+        i = round((base.terminal_time - 1.0) / base.grid_step)
+        phis = []
+        for f in (1, 2, 4):
+            prof = build_profile(c, h, 1.2, grid_step=c * h / (f * m))
+            assert round(c * h / prof.grid_step) == f * m
+            assert prof.t[f * i] == pytest.approx(base.t[i], abs=1e-12)
+            phis.append(prof.phi[f * i])
+        assert np.max(np.abs(np.diff(phis))) <= 1e-10
+
+    @pytest.mark.parametrize("h", [0.0, 1.0])
+    @pytest.mark.parametrize("kw", [
+        dict(grid_step=0.0), dict(grid_step=-0.01), dict(grid_step=np.nan),
+        dict(t_max=0.0), dict(t_max=-1.0), dict(t_max=np.nan),
+    ])
+    def test_nonpositive_step_or_t_max_refused(self, h, kw):
+        with pytest.raises(DomainError, match="must be positive"):
+            build_profile(minimal_speed(h, 1.2)[0], h, 1.2, **kw)
+
     @pytest.mark.parametrize("h,grid_step", [(1e-6, None), (0.0, 4e-6), (0.5, 4e-6)])
     def test_step_below_floor_refused_before_integrating(self, h, grid_step,
                                                          monkeypatch):
