@@ -30,12 +30,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(v) -> str:
-    """Six significant digits for floats; empty for None; true/false for bools."""
+    """Six significant digits for floats; empty for None; true/false for bools.
+
+    numpy's bool_ and floating scalars count as bools and floats.
+    """
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         return f"{v:.6g}"
     return str(v)
 

@@ -148,6 +148,17 @@ class TestCurves:
             assert files[0] == files[1], argv[0]
 
 
+class TestFmt:
+    @pytest.mark.parametrize("value, text", [
+        (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+        (2.0 / 3.0, "0.666667"), (np.float64(2.0 / 3.0), "0.666667"),
+        (np.float32(0.1), "0.1"), (np.float32(2.0 / 3.0), "0.666667"),
+        (None, ""), (7, "7"), (np.int64(7), "7"), ("error:E: m", "error:E: m"),
+    ])
+    def test_numpy_scalars_format_like_python_ones(self, value, text):
+        assert _fmt(value) == text
+
+
 class TestWriteCsv:
     def test_cells_match_fmt(self, tmp_path):
         floats = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e-300,

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from delayfronts import (
+    AccuracyError,
     DomainError,
     SimConfig,
     cn_step,
@@ -131,15 +134,18 @@ class TestCnStep:
 
     @pytest.mark.parametrize("h", [0.0, 0.5])
     def test_birth_rate_evaluated_once_per_step(self, h, monkeypatch):
-        calls = []
+        # run() evaluates g a block of levels per call, each level once
+        rows = []
 
         def counted(u, k):
-            calls.append(1)
+            rows.append(1 if np.ndim(u) == 1 else len(u))
             return birth_rate(u, k)
 
         monkeypatch.setattr(pdesim, "birth_rate", counted)
         run(SimConfig(h=h, k=1.2, t_end=2.0))
-        assert len(calls) == 200
+        assert sum(rows) == 200
+        if h > 0.0:
+            assert len(rows) < 200
 
 
 class TestEstimateSpeed:
@@ -252,3 +258,137 @@ class TestRun:
         assert abs(coarse - fine) < 2e-4
         c_star, _ = minimal_speed(1.0, 1.2)
         assert abs(coarse - c_star) / c_star < 0.031
+
+
+def _reference_run(cfg: SimConfig):
+    """run() as a plain loop checking after every step: cn_step, then the
+    extrema, the snapshot, the level crossing and the wall test.
+    Returns (trajectory, snapshots, u_min, u_max, t_final)."""
+    st = init_cauchy(cfg)
+    snap_steps = {round(ts / cfg.dt) for ts in cfg.snapshot_times}
+    snapshots = [(0.0, st.u.copy())] if 0 in snap_steps else []
+    traj = []
+    u_min, u_max = float(st.u.min()), float(st.u.max())
+    for n in range(1, round(cfg.t_end / cfg.dt) + 1):
+        cn_step(st)
+        u, x = st.u, st.x
+        u_min, u_max = min(u_min, float(u.min())), max(u_max, float(u.max()))
+        if n in snap_steps:
+            snapshots.append((st.t, u.copy()))
+        xl = _crossing(x, u, cfg.level)
+        if xl is not None:
+            traj.append((st.t, xl))
+            if xl <= cfg.x_min + cfg.stop_margin:
+                break
+    return np.array(traj).reshape(-1, 2), snapshots, u_min, u_max, st.t
+
+
+def _crossing(x, u, level):
+    """Leftmost linear-interpolated crossing of u = level, None if absent."""
+    s = u - level
+    crossed = s[:-1] * s[1:] <= 0.0
+    i = int(np.argmax(crossed))
+    if not crossed[i]:
+        return None
+    du = u[i + 1] - u[i]
+    return float(x[i] if du == 0.0 else x[i] + (x[i + 1] - x[i]) * (level - u[i]) / du)
+
+
+def _bad_from(level: int, value: float):
+    """birth_rate that returns value for every level from `level` on; run()
+    and cn_step evaluate each level once, in order, so the rows are counted."""
+    seen = [0]
+
+    def bad(u, k):
+        g = birth_rate(u, k)
+        rows = g.reshape(-1, g.shape[-1])
+        first = seen[0] + 1
+        seen[0] += len(rows)
+        rows[max(level - first, 0):] = value
+        return g
+
+    return bad
+
+
+class TestBlockedRun:
+    # block ends (every 16 levels) meet neither h/dt, nor t_end/dt, nor the wall stop
+    @pytest.mark.parametrize("kwargs", [
+        dict(h=0.0, t_end=60.0),
+        dict(h=0.01, t_end=60.0),
+        dict(h=0.07, t_end=60.0),
+        dict(h=0.5, t_end=60.0, snapshot_times=(0.0, 20.0)),
+        dict(h=1.37, t_end=100.0, snapshot_times=(10.0, 95.0)),
+        dict(h=2.0, t_end=30.03, stop_margin=0.0),
+    ])
+    def test_run_equals_a_check_after_every_step(self, kwargs):
+        cfg = SimConfig(k=1.2, **kwargs)
+        res = run(cfg)
+        traj, snapshots, u_min, u_max, t_final = _reference_run(cfg)
+        assert np.array_equal(res.level_trajectory, traj)
+        assert res.t_final == t_final
+        assert res.u_min == u_min and res.u_max == u_max
+        assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots]
+        for (_, got), (_, want) in zip(res.snapshots, snapshots):
+            assert np.array_equal(got, want)
+        assert (res.c_ns, res.fit_residual) == estimate_speed(traj, cfg.window_fraction)
+        i0 = int(len(traj) * (1.0 - cfg.window_fraction))
+        assert res.fit_window == (traj[i0, 0], traj[-1, 0])
+
+    # the first non-finite level inside a block (levels 289-304 at h = 0),
+    # and first or last in one (levels 337-352 at h = 0.5)
+    @pytest.mark.parametrize("h, first_bad", [(0.0, 301), (0.5, 337), (0.5, 352)])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_raises_at_the_first_bad_level(self, h, first_bad, value,
+                                                             monkeypatch):
+        cfg = SimConfig(h=h, k=1.2, t_end=60.0)
+        # g of level L first enters the step to level L + max(h/dt, 1)
+        level = first_bad - max(cfg.delay_steps, 1)
+        message = f"non-finite field after step to t={first_bad * cfg.dt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(pdesim, "birth_rate", _bad_from(level, value))
+            with pytest.raises(AccuracyError) as reference:
+                _reference_run(cfg)
+            monkeypatch.setattr(pdesim, "birth_rate", _bad_from(level, value))
+            with pytest.raises(AccuracyError) as blocked:
+                run(cfg)
+        assert str(reference.value) == str(blocked.value) == message
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_wall_stop_before_the_first_non_finite_level_returns(self, value, monkeypatch):
+        # the first bad level follows the wall stop in its block: next to it,
+        # or last in the block (+inf alone there for value = inf, which would
+        # show in u_max)
+        cfg = SimConfig(h=0.5, k=1.2, t_end=100.0)
+        m = cfg.delay_steps
+        clean = run(cfg)
+        wall = round(clean.t_final / cfg.dt)
+        block_end = -(-wall // pdesim._BLOCK) * pdesim._BLOCK
+        assert wall + 1 < block_end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for first_bad in (wall + 1, block_end):
+                monkeypatch.setattr(pdesim, "birth_rate", _bad_from(first_bad - m, value))
+                res = run(cfg)
+                assert res.t_final == clean.t_final
+                assert np.array_equal(res.level_trajectory, clean.level_trajectory)
+                assert (res.c_ns, res.u_min, res.u_max) == (clean.c_ns, clean.u_min, clean.u_max)
+            monkeypatch.setattr(pdesim, "birth_rate", _bad_from(wall - m, value))
+            with pytest.raises(AccuracyError, match=f"t={wall * cfg.dt}$"):
+                run(cfg)
+
+    def test_level_crossings_match_the_scalar_rule(self):
+        # rows without a crossing, ties at the level (du == 0) and a crossing
+        # in the last cell, next to random rows
+        rng = np.random.default_rng(3)
+        x = np.linspace(-1.0, 1.0, 9)
+        rows = [np.zeros(9), np.full(9, 2.0), np.ones(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)],
+                np.r_[np.zeros(8), 2.0], np.r_[2.0, np.zeros(8)], *rng.uniform(0.0, 2.0, (20, 9)),
+                *rng.choice([0.0, 1.0, 2.0], (20, 9))]
+        u = np.array(rows)
+        xl, crossed = pdesim._level_crossings(x, u, 1.0)
+        for row, pos, has in zip(u, xl, crossed):
+            want = _crossing(x, row, 1.0)
+            assert has == (want is not None)
+            if has:
+                assert pos == want
