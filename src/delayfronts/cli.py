@@ -231,14 +231,7 @@ def _table_row(h: float, k: float, t_end: float) -> tuple:
 def _cmd_table(args) -> int:
     rows = [float(s) for s in args.rows.split(",")]
     man = _Manifest("table", vars(args), args.out)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = [pool.submit(_table_row, h, args.k, args.t_end) for h in rows]
-            results = [f.result() for f in futs]
-    else:
-        results = [_table_row(h, args.k, args.t_end) for h in rows]
+    results = [_table_row(h, args.k, args.t_end) for h in rows]
     man.write_csv("table.csv", "h,c_sharp,c_star,c_ns", *zip(*results))
     man.finalize()
     return 0
@@ -313,7 +306,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--rows", default="0.5,1,1.5,2,2.5,3,3.5,4,4.5,5,5.5,6",
                    help="comma-separated delays")
     p.add_argument("--t-end", type=float, default=400.0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: rows always run in-process")
     p.add_argument("--out", default=".")
     p.set_defaults(fn=_cmd_table)
     return parser, sub.choices

@@ -28,9 +28,7 @@ import numpy as np
 from . import chareq
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
-from .toyfront import (
-    _EPS, _UNSTABLE_TOL, _check_positive, _delay_rk4, _mode_part, birth_rate,
-)
+from .toyfront import _check_positive, _delay_rk4, _mode_part, _stop_time, birth_rate
 
 __all__ = [
     "KernelGrid",
@@ -51,8 +49,10 @@ class KernelGrid:
 
     For psi the node at t = 0 stores the right limit and jump_at_zero is 1;
     theta and N carry jump 0 (theta's unit step at 0 is its support edge,
-    not an interior jump of the stored grid).  cut_at_t_max: the caller's
-    t_max, not the tail cutoff, ended psi's window.
+    not an interior jump of the stored grid).  window_end says what ended
+    psi's forward window: "t_max" (the caller's), "T_stop" (the unstable-mode
+    rule, toyfront._stop_time) or "tail" (its e^{mu3 t} tail cutoff, and at
+    h = 0, where psi vanishes past 0); it is None on theta and N grids.
     """
 
     t: np.ndarray
@@ -62,7 +62,7 @@ class KernelGrid:
     mu1: float
     mu2: float
     mu3: float | None
-    cut_at_t_max: bool = False
+    window_end: str | None = None
 
     @property
     def t_max(self) -> float:
@@ -99,14 +99,14 @@ def psi_kernel(
 ) -> KernelGrid:
     """Fundamental solution of D2 on a uniform grid of step ch/m.
 
-    For t < 0 the closed form -(mu1-mu2)/chi'(mu1) e^{mu1 t}; the unit jump
-    at 0 then launches the forward solution of D2 y = 0, integrated as the
-    equivalent ODE system in (y, I) with I(t) the exponential history
-    integral (I' = mu2 I + y(t) - e^{mu2 ch} y(t-ch)), classical RK4, and
-    cubic-Hermite reads of the stored delayed values.  What rounding and RK4
-    seed in the modes e^{mu1 t} and e^{mu2 t}, which psi lacks, is projected
-    out (toyfront._mode_part).  The forward window ends at min(t_max, tail
-    cutoff, T_stop); a step or t_max that is not positive is a DomainError.
+    For t < 0 the closed form amp e^{mu1 t}, amp = -(mu1-mu2)/chi'(mu1); past
+    the unit jump at 0, psi solves D y = 0 from psi(0+) = 1 + amp, by RK4 in
+    (psi, psi') (toyfront._delay_rk4).  mu2 is a root of chi, and psi'(0+),
+    read from D2 psi(0+) = 0, sets psi's e^{mu2 t} part to zero.  What
+    rounding and RK4 seed in e^{mu1 t} and e^{mu2 t} is projected out
+    (toyfront._mode_part).  The window ends at min(t_max, tail cutoff,
+    T_stop), and window_end names which; a step or t_max that is not
+    positive is a DomainError.
     All samples are strictly negative (checked; the h = 0 limit, identically
     zero for t > 0, is exempt).
     """
@@ -124,37 +124,30 @@ def psi_kernel(
         n_pos = max(int(np.ceil((t_max if t_max else 1.0) / dt)), 2)
         t = dt * np.arange(-n_neg, n_pos + 1)
         vals = np.where(t < 0.0, amp * np.exp(mu1 * t), 0.0)
-        return KernelGrid(t, vals, dt, 1.0, mu1, mu2, None)
+        return KernelGrid(t, vals, dt, 1.0, mu1, mu2, None, "tail")
 
     ch = c * h
     m = 200 if step is None else max(4, int(round(ch / step)))
     dt = ch / m
-    psi0 = 1.0 + amp
-    beta = gk * np.exp(-ch * mu2)
-    decay = np.exp(mu2 * ch)
-    # past build_profile's T_stop a rounding seed of e^{mu1 t} outgrows psi's tail
-    T_end = min(1.2 * _SUPPORT_DECADES / abs(mu3), np.log(_UNSTABLE_TOL / _EPS) / mu1)
+    T_tail, T_stop = 1.2 * _SUPPORT_DECADES / abs(mu3), _stop_time(mu1)
+    T_end = min(T_tail, T_stop)
     T_pos = T_end if t_max is None else min(t_max, T_end)
     n_pos = max(int(np.ceil(T_pos / dt)), 2)
     n_neg = int(np.ceil(_SUPPORT_DECADES / mu1 / dt))
 
-    iv = amp * (1.0 - np.exp(-(mu1 - mu2) * ch)) / (mu1 - mu2)
-    # y' = (c - mu2) y + beta I, I' = mu2 I + y - decay y(t - ch); the closed
-    # form amp e^{mu1 s} is the history and y's left limit at s = 0
-    y, dy = _delay_rk4(
-        (c - mu2, beta, 1.0, mu2), 0.0, -decay, psi0, iv, dt, n_pos, m,
-        lambda x: amp * np.exp(mu1 * x * dt),
-    )
-    # psi solves y'' = c y' + y - g'(kappa) y(t - ch) without its modes e^{mu1 t}
-    # (unbounded) and e^{mu2 t} (D1's, spurious in the (y, I) system); before 0
-    # amp e^{mu1 u} adds amp e^{lam (s - ch)} int_0^r e^{(lam - mu1) v} dv
+    # the history amp e^{mu1 u}, u < 0, adds amp e^{lam (s - ch)} int_0^r
+    # e^{(lam - mu1) v} dv to the bilinear form of the mode e^{lam t}
     s = dt * np.arange(n_pos + 1)
     r = np.maximum(ch - s, 0.0)
-    modes = np.zeros_like(y)
-    for lam, span in ((mu1, r), (mu2, np.expm1((mu2 - mu1) * r) / (mu2 - mu1))):
-        left = amp * np.exp(lam * (s - ch)) * span
-        modes += _mode_part(y, dy, c, h, gk, lam, dt, m, left)
-    y = y - modes
+    left = {lam: amp * np.exp(lam * (s - ch)) * span
+            for lam, span in ((mu1, r), (mu2, np.expm1((mu2 - mu1) * r) / (mu2 - mu1)))}
+    psi0 = 1.0 + amp
+    # y'' = c y' + y - g'(kappa) y(t - ch), and no e^{mu2 t} part at 0+
+    y, dy = _delay_rk4(
+        c, 1.0, 0.0, -gk, psi0, (c - mu2) * psi0 + gk * left[mu2][0], dt, n_pos, m,
+        lambda x: amp * np.exp(mu1 * x * dt),
+    )
+    y = y - sum(_mode_part(y, dy, c, h, gk, lam, dt, m, left[lam]) for lam in left)
 
     t_neg = -dt * np.arange(n_neg, 0, -1)
     t = np.concatenate([t_neg, s])
@@ -163,7 +156,8 @@ def psi_kernel(
         raise AccuracyError(
             "psi kernel lost strict negativity; refine the step"
         )
-    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, cut_at_t_max=T_pos < T_end)
+    end = "t_max" if T_pos < T_end else "T_stop" if T_stop < T_tail else "tail"
+    return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, end)
 
 
 def N_kernel(
@@ -222,8 +216,10 @@ def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
     mass = float(np.trapezoid(conv, t))
     expected = 1.0 / (params.slope_kappa - 1.0)
     if abs(mass - expected) > 1e-4:
-        cause = (f"t_max = {psi.t_max:.6g} cut psi before its e^(mu3 t) tail; "
-                 "raise t_max" if psi.cut_at_t_max else "refine the step")
+        end = psi.window_end
+        cause = ("refine the step" if end == "tail" else
+                 f"{end} = {psi.t_max:.6g} cut psi before its e^(mu3 t) tail; "
+                 + ("raise t_max" if end == "t_max" else "a finer step does not help"))
         raise AccuracyError(f"N normalization off: {mass:.6f} vs {expected:.6f}; {cause}")
     return KernelGrid(t, conv, dt, 0.0, mu1, mu2, psi.mu3)
 

@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# build_profile's window ends where the unstable mode has grown by this over
-# eps (the mode itself is projected out)
+# _stop_time: the unstable mode is projected out, but past where it has grown
+# by this over eps its seed outgrows a decaying tail such as psi's
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
 # build_profile's residual gate and the smallest step that can pass it: the
@@ -141,7 +141,11 @@ def amplitude_p(c: float, h: float, k: float) -> float:
     rounding and gives p = 0.0, before the second factor can amplify it.
     As lam1 -> lam2 the formula turns 0/0-like: a gap under 1e-8 is refused.
     """
-    lam1, lam2, mu1 = _tail_roots(c, h, k)
+    return _amplitude(k, *_tail_roots(c, h, k))
+
+
+def _amplitude(k: float, lam1: float, lam2: float, mu1: float) -> float:
+    """amplitude_p from the tail roots at c."""
     if abs(lam1 - lam2) < _CRITICAL_GAP:
         # 0/0-adjacent: the critical profile takes a different functional
         # form, which this builder deliberately does not extrapolate
@@ -230,25 +234,24 @@ class WaveProfile:
         return out[()] if out.ndim == 0 else out
 
 
-def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history):
-    """Method of steps for a delayed linear 2x2 system by classical RK4.
+def _delay_rk4(r, s, const, w, a0, b0, dt, n, m, history):
+    """Method of steps for a scalar delayed linear equation by classical RK4.
 
-    Integrates a' = p a + q b, b' = r b + s a + const + w a(t - m dt), with
-    (p, q, s, r) = coef, from (a0, b0) at t = 0 over n steps of dt; m = 0
-    means no delay (the last term reads a(t)).  While t - m dt < 0 the
-    delayed value is history(x) = a(x dt) for the step offset x <= 0; the
-    caller scales x by dt so that it fixes the rounding of its own history.
-    After that, a(t - m dt) is read from the stored nodes (a, a') by cubic
-    Hermite interpolation.  x = 0 is reached from the left (the k4 stage of
-    step m - 1 reads history(0)) and then from the right (the k1 stage of
-    step m reads node 0), so a jump of a at t = 0 is seen correctly.
-    Returns the node values of a and a', n + 1 of each.
+    Integrates a'' = r a' + s a + const + w a(t - m dt) in (a, b = a') from
+    (a0, b0) at t = 0 over n steps of dt; m = 0 means no delay (the last
+    term reads a(t)).  While t - m dt < 0 the delayed value is history(x) =
+    a(x dt) for the step offset x <= 0; the caller scales x by dt so that it
+    fixes the rounding of its own history.  After that, a(t - m dt) is read
+    from the stored nodes (a, a') by cubic Hermite interpolation.  x = 0 is
+    reached from the left (the k4 stage of step m - 1 reads history(0)) and
+    then from the right (the k1 stage of step m reads node 0), so a jump of
+    a at t = 0 is seen correctly.  Returns the node values of a and a',
+    n + 1 of each.
     """
     # plain floats: the same IEEE arithmetic as numpy scalars, done faster
-    p, q, s, r = (float(x) for x in coef)
-    const, w, dt = float(const), float(w), float(dt)
+    r, s, const, w, dt = (float(x) for x in (r, s, const, w, dt))
     av, bv = float(a0), float(b0)
-    a, da = [av], [p * av + q * bv]
+    a, b = [av], [bv]
     half, sixth, herm = 0.5 * dt, dt / 6.0, 0.125 * dt
     for i in range(n):
         # delayed values at the start, the midpoint and the end of the step
@@ -257,23 +260,19 @@ def _delay_rk4(coef, const, w, a0, b0, dt, n, m, history):
             d1, d2, d4 = float(history(j)), float(history(j + 0.5)), float(history(j + 1))
         elif m:
             d1, d4 = a[j], a[j + 1]
-            d2 = 0.5 * d1 + herm * da[j] + 0.5 * d4 - herm * da[j + 1]
-        k1a = da[i]
-        k1b = r * bv + s * av + const + w * (av if m == 0 else d1)
-        a2, b2 = av + half * k1a, bv + half * k1b
-        k2a = p * a2 + q * b2
-        k2b = r * b2 + s * a2 + const + w * (a2 if m == 0 else d2)
-        a3, b3 = av + half * k2a, bv + half * k2b
-        k3a = p * a3 + q * b3
-        k3b = r * b3 + s * a3 + const + w * (a3 if m == 0 else d2)
-        a4, b4 = av + dt * k3a, bv + dt * k3b
-        k4a = p * a4 + q * b4
-        k4b = r * b4 + s * a4 + const + w * (a4 if m == 0 else d4)
-        av += sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        bv += sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            d2 = 0.5 * d1 + herm * b[j] + 0.5 * d4 - herm * b[j + 1]
+        k1 = r * bv + s * av + const + w * (av if m == 0 else d1)
+        a2, b2 = av + half * bv, bv + half * k1
+        k2 = r * b2 + s * a2 + const + w * (a2 if m == 0 else d2)
+        a3, b3 = av + half * b2, bv + half * k2
+        k3 = r * b3 + s * a3 + const + w * (a3 if m == 0 else d2)
+        a4, b4 = av + dt * b3, bv + dt * k3
+        k4 = r * b4 + s * a4 + const + w * (a4 if m == 0 else d4)
+        av += sixth * (bv + 2.0 * b2 + 2.0 * b3 + b4)
+        bv += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a.append(av)
-        da.append(p * av + q * bv)
-    return np.array(a), np.array(da)
+        b.append(bv)
+    return np.array(a), np.array(b)
 
 
 def _mode_part(y, dy, c, h, s, lam, dt, m, left=None):
@@ -299,6 +298,12 @@ def _mode_part(y, dy, c, h, s, lam, dt, m, left=None):
     if left is None:
         a[:m] = a[m] * np.exp(lam * dt * np.arange(-m, 0)) if len(y) > m else 0.0
     return a / chareq.eval_char_dz(lam, c, h, s)
+
+
+def _stop_time(mu1: float) -> float:
+    """T_stop, the latest end of the profile's and psi's windows: where a
+    rounding-size seed of e^{mu1 t} has grown to _UNSTABLE_TOL."""
+    return np.log(_UNSTABLE_TOL / _EPS) / mu1
 
 
 def _check_positive(**values):
@@ -328,8 +333,8 @@ def build_profile(
     check, is a DomainError.
     """
     _check_positive(t_max=t_max, grid_step=grid_step)
-    p = amplitude_p(c, h, k)
     lam1, lam2, mu1 = _tail_roots(c, h, k)
+    p = _amplitude(k, lam1, lam2, mu1)
     ch = c * h
 
     target = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
@@ -337,7 +342,7 @@ def build_profile(
     dt = ch / m if m else target
     if dt < _DT_FLOOR:  # round-off alone would fail the residual check
         raise DomainError(f"profile step {dt:.3g} is below the floor {_DT_FLOOR:.2g}")
-    T_stop = np.log(_UNSTABLE_TOL / _EPS) / mu1
+    T_stop = _stop_time(mu1)
     if t_max is not None:
         T_stop = min(T_stop, t_max)
     n = max(int(np.ceil(T_stop / dt)), 8)
@@ -345,7 +350,7 @@ def build_profile(
     tail = lambda s: _tail(s, ch, p, lam1, lam2)
     # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
     phi, v = _delay_rk4(
-        (0.0, 1.0, 1.0, c), -4.0, 1.0, tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1),
+        c, 1.0, -4.0, 1.0, tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1),
         dt, n, m, lambda x: tail(x * dt),
     )
     # phi - 2 solves y'' = c y' + y + y(t - ch)

@@ -20,6 +20,29 @@ from conftest import sample_dkappa
 
 # the (c, h) points of the kernel benchmark at k = 1.2
 SEED0_POINTS = [(0.5, 1.0), (1.0, 0.5), (0.3, 2.0), (0.2, 3.0)]
+# large speeds, where mu1 dt = 0.013-0.032 at the default step
+LARGE_SPEED_POINTS = [(8.0, 0.05), (5.0, 0.1), (5.0, 0.2), (4.0, 0.3), (8.0, 0.1)]
+
+
+def psi_residual(grid, c, h, gk):
+    """max |R| / max |psi| of R = psi'' - c psi' - psi + g'(kappa) psi(t - ch)
+    on the forward nodes, by five-point stencils; windows of 2.5 steps
+    around the kinks at t = 0, ch and 2ch are excluded."""
+    dt, ch = grid.step, c * h
+    m = round(ch / dt)
+    i0 = grid.index_of_zero()
+    y = grid.values[i0:]
+    idx = np.arange(2, len(y) - 2)
+    for kink in (0.0, ch, 2.0 * ch):
+        idx = idx[np.abs(idx * dt - kink) > 2.5 * dt]
+    w = [y[idx + o] for o in (-2, -1, 0, 1, 2)]
+    d2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * dt * dt)
+    d1 = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * dt)
+    amp = y[0] - grid.jump_at_zero
+    delayed = np.where(idx >= m, y[np.maximum(idx - m, 0)],
+                       amp * np.exp(grid.mu1 * (idx - m) * dt))
+    r = d2 - c * d1 - y[idx] + gk * delayed
+    return np.max(np.abs(r)) / np.max(np.abs(grid.values))
 
 
 class TestTheta:
@@ -74,7 +97,7 @@ class TestPsi:
             assert grid.values.max() < 0.0, (c, h)
             t_tail = 1.2 * _SUPPORT_DECADES / abs(grid.mu3)
             assert grid.t_max >= t_tail - grid.step, (c, h)
-            assert not grid.cut_at_t_max
+            assert grid.window_end == "tail"
 
     @pytest.mark.parametrize("c,h", SEED0_POINTS)
     def test_step_independent(self, toy12, c, h):
@@ -85,6 +108,12 @@ class TestPsi:
             grid = psi_kernel(c, h, toy12, step=c * h / m)
             vals.append(grid.values[np.argmin(np.abs(grid.t - 1.5))])
         assert np.max(np.abs(np.diff(vals))) < 1e-13
+
+    @pytest.mark.parametrize("c,h", SEED0_POINTS + LARGE_SPEED_POINTS)
+    def test_solves_the_delayed_equation(self, toy12, c, h):
+        # 2.6e-11 to 7.6e-8 measured; a 1% error in g'(kappa) gives ~1e-2
+        grid = psi_kernel(c, h, toy12)
+        assert psi_residual(grid, c, h, toy12.slope_kappa) <= 1e-6
 
     @pytest.mark.parametrize("h", [0.0, 1.0])
     @pytest.mark.parametrize("kw", [
@@ -185,12 +214,11 @@ class TestN:
             errs.append(abs(np.trapezoid(grid.values, grid.t) + 0.5))
         assert errs[0] > errs[2]  # order >= 1 overall
 
-    @pytest.mark.parametrize("c,h", [(8.0, 0.05), (5.0, 0.1), (5.0, 0.2), (4.0, 0.3),
-                                     (8.0, 0.1)])
+    @pytest.mark.parametrize("c,h", LARGE_SPEED_POINTS)
     def test_large_speed(self, toy12, c, h):
-        # mu1 dt = 0.013-0.032 at the default step: without the e^{mu2 t}
-        # projection psi turned positive near its tail cutoff, and at (5, 0.2),
-        # (4, 0.3) and (8, 0.1) T_stop, not the tail cutoff, ends the window
+        # without the e^{mu2 t} projection psi turned positive near its tail
+        # cutoff, and at (5, 0.2), (4, 0.3) and (8, 0.1) T_stop, not the tail
+        # cutoff, ends the window
         grid = N_kernel(c, h, toy12)
         assert abs(np.trapezoid(grid.values, grid.t) + 0.5) < 1e-5
 
@@ -201,11 +229,21 @@ class TestN:
     @pytest.mark.parametrize("m", [200, 800])
     def test_short_t_max_is_named_as_the_cause(self, toy12, m):
         # psi cut before its e^{mu3 t} tail: no step refinement helps
-        assert psi_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m).cut_at_t_max
+        assert psi_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m).window_end == "t_max"
         with pytest.raises(AccuracyError, match="t_max = 0.2 cut psi") as err:
             N_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m)
         assert "refine the step" not in str(err.value)
-        assert not psi_kernel(0.5, 1.0, toy12, t_max=5.0, step=0.5 / m).cut_at_t_max
+        assert psi_kernel(0.5, 1.0, toy12, t_max=5.0, step=0.5 / m).window_end == "tail"
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_short_T_stop_is_named_as_the_cause(self, toy12, m):
+        # at (6, 0.3) T_stop = 2.86 ends psi's window long before its tail
+        # cutoff (28.1), and the mass error, -0.50045, does not move with the step
+        psi = psi_kernel(6.0, 0.3, toy12, step=1.8 / m)
+        assert psi.window_end == "T_stop"
+        with pytest.raises(AccuracyError, match=r"T_stop = 2\.86\d* cut psi") as err:
+            _convolve_theta(psi, toy12)
+        assert "refine the step" not in str(err.value)
 
 
 class TestApplyN:

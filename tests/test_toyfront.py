@@ -259,8 +259,7 @@ class TestDelayRK4:
         # the cubic-Hermite midpoint read reproduces the quadratic exactly.
         w, A, B, tau, m = -0.7, 1.3, -0.4, 1.0, 8
         dt = tau / m
-        a, da = _delay_rk4((0.0, 1.0, 0.0, 0.0), 0.0, w, A, B, dt, 2 * m, m,
-                           lambda x: A)
+        a, da = _delay_rk4(0.0, 0.0, 0.0, w, A, B, dt, 2 * m, m, lambda x: A)
         t = dt * np.arange(2 * m + 1)
         first, u = t <= tau, t - tau
         a1, b1 = A + B * tau + w * A * tau**2 / 2, B + w * A * tau
@@ -278,19 +277,18 @@ class TestDelayRK4:
         np.testing.assert_allclose(da, exact_d, rtol=0.0, atol=1e-12)
 
     def test_no_delay_steps_by_the_degree_four_taylor_polynomial(self):
-        # m = 0: a'' = w a(t) plus damping; each RK4 step multiplies (a, b) by
+        # m = 0: a'' = r a' + (s + w) a; each RK4 step multiplies (a, a') by
         # the degree-4 Taylor polynomial of e^{dt M} exactly
-        p, q, s, r, w, dt, n = 0.0, 1.0, 0.3, -0.5, -2.0, 0.05, 40
-        a, da = _delay_rk4((p, q, s, r), 0.0, w, 1.0, 0.2, dt, n, 0, None)
-        M = dt * np.array([[p, q], [s + w, r]])
+        s, r, w, dt, n = 0.3, -0.5, -2.0, 0.05, 40
+        a, da = _delay_rk4(r, s, 0.0, w, 1.0, 0.2, dt, n, 0, None)
+        M = dt * np.array([[0.0, 1.0], [s + w, r]])
         R = np.eye(2) + M + M @ M / 2 + M @ M @ M / 6 + M @ M @ M @ M / 24
         y = np.array([1.0, 0.2])
-        ref = [y[0]]
+        ref = [y]
         for _ in range(n):
             y = R @ y
-            ref.append(y[0])
-        np.testing.assert_allclose(a, ref, rtol=0.0, atol=1e-12)
-        assert len(da) == n + 1
+            ref.append(y)
+        np.testing.assert_allclose(np.column_stack([a, da]), ref, rtol=0.0, atol=1e-12)
 
 
 class TestBuildProfile:
@@ -416,6 +414,21 @@ class TestBuildProfile:
         c, _ = minimal_speed(h, 1.2)
         with pytest.raises(DomainError, match="below"):
             build_profile(c, h, 1.2, grid_step=grid_step)
+
+    @pytest.mark.parametrize("h", [0.0, 2.0])
+    def test_tail_roots_solved_once(self, h, monkeypatch):
+        # the amplitude and the tail share one roots_at_zero solve
+        calls = []
+        solve = chareq.roots_at_zero
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        c = minimal_speed(h, 1.2)[0] * 1.01
+        monkeypatch.setattr(chareq, "roots_at_zero", counted)
+        build_profile(c, h, 1.2)
+        assert len(calls) == 1
 
 
 @st.composite
