@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,7 +49,7 @@ __all__ = [
     "count_zeros_right_of",
 ]
 
-# Bracketed roots are bisected to this x-tolerance, then Newton-polished.
+# Roots of chi are bisected to this x-tolerance, then Newton-polished.
 _XTOL = 1e-13
 _RTOL = 4 * np.finfo(float).eps
 _NEWTON_POLISH = 3
@@ -70,28 +71,22 @@ def _check_k(k: float) -> None:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Slopes and equilibria of the birth law.
-
-    slope_zero is g'(0) (must exceed 1 for the monostable setting),
-    slope_kappa is g'(kappa) < 0 and kappa the positive equilibrium.  The
-    piecewise-linear model is the instance (k, -1, 2) with k in (1, 3).
+    """Slopes and equilibria of the piecewise-linear birth law g(u) = k*u
+    below 1, 4 - u above: slope_zero = g'(0) = k in (1, 3), and the fixed
+    slope_kappa = g'(kappa) = -1 at the positive equilibrium kappa = 2.
     """
 
     slope_zero: float
-    slope_kappa: float = -1.0
-    kappa: float = 2.0
+    slope_kappa: ClassVar[float] = -1.0
+    kappa: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
-        if not self.slope_zero > 1.0:
-            raise DomainError(f"slope_zero must exceed 1, got {self.slope_zero}")
-        if not self.slope_kappa < 0.0:
-            raise DomainError(f"slope_kappa must be negative, got {self.slope_kappa}")
+        _check_k(self.slope_zero)
 
     @classmethod
     def toy(cls, k: float) -> "ModelParams":
-        """The piecewise-linear model: g(u) = k*u below 1, 4 - u above."""
-        _check_k(k)
-        return cls(slope_zero=k, slope_kappa=-1.0, kappa=2.0)
+        """The piecewise-linear model with slope k."""
+        return cls(k)
 
 
 @dataclass(frozen=True)
@@ -132,6 +127,11 @@ def eval_char_dz(z, c, h, slope):
     z = np.asarray(z)
     out = 2.0 * z - c - slope * c * h * np.exp(-z * c * h)
     return out[()] if out.ndim == 0 else out
+
+
+def _root(f, a: float, b: float, args=()) -> float:
+    """The root of f bracketed by [a, b], to the last bits (brentq)."""
+    return brentq(f, a, b, args=args, xtol=1e-300, rtol=_RTOL)
 
 
 def _polish(z: float, c: float, h: float, slope: float) -> float:
@@ -188,9 +188,6 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     fmin = eval_char(zmin, c, h, k)
     if fmin > 0.0:
         return RootsAtZero(np.nan, np.nan, exists=False)
-    if fmin == 0.0:
-        lam = _polish(zmin, c, h, k)
-        return RootsAtZero(lam, lam, exists=True)
     f = lambda z: eval_char(z, c, h, k)
     # relative margin on the upper bracket: chi(zmax) is exponentially small
     # but positive, and the bare evaluation can lose its sign to cancellation
@@ -284,7 +281,7 @@ def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     F = lambda c: eval_char(_critical_point(c, c * h, slope, 0), c, h, slope)
     if h == 0.0 or F(c0) >= 0.0:
         return c0, 0.5 * c0
-    c = brentq(F, 0.0, c0, xtol=1e-300, rtol=_RTOL)
+    c = _root(F, 0.0, c0)
     return c, _critical_point(c, c * h, slope, 0)
 
 
@@ -319,7 +316,7 @@ def c_kappa_curve(h: float, params: ModelParams) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise AccuracyError("no upper bracket for the c_kappa relation")
-    return brentq(G, lo, hi, xtol=1e-300, rtol=_RTOL)
+    return _root(G, lo, hi)
 
 
 # -- root counting on a vertical line ----------------------------------------
@@ -339,7 +336,7 @@ def _flips(f, x):
     between neighbours), with f's sign, as +-1, just left of each."""
     pos = f(x) > 0.0
     i = np.flatnonzero(pos[:-1] != pos[1:])
-    roots = [brentq(f, x[j], x[j + 1], xtol=1e-300, rtol=_RTOL) for j in i]
+    roots = [_root(f, x[j], x[j + 1]) for j in i]
     return np.array(roots), np.where(pos[i], 1.0, -1.0)
 
 

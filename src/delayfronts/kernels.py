@@ -145,7 +145,7 @@ def psi_kernel(
     # y'' = c y' + y - g'(kappa) y(t - ch), and no e^{mu2 t} part at 0+
     y, dy = _delay_rk4(
         c, 1.0, 0.0, -gk, psi0, (c - mu2) * psi0 + gk * left[mu2][0], dt, n_pos, m,
-        lambda x: amp * np.exp(mu1 * x * dt),
+        amp * np.exp(mu1 * (0.5 * np.arange(-2 * m, 1)) * dt),
     )
     y = y - sum(_mode_part(y, dy, c, h, gk, lam, dt, m, left[lam]) for lam in left)
 

@@ -82,6 +82,8 @@ class SimConfig:
             raise DomainError(f"x_max - x_min must span at least 3 cells, got {round(nx)}")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise DomainError(f"snapshot_times must lie in [0, t_end = {self.t_end}]")
+        if not 0.0 < self.window_fraction < 1.0:
+            raise DomainError("window_fraction must lie in (0, 1)")
 
     @property
     def delay_steps(self) -> int:
@@ -257,10 +259,10 @@ def run(config: SimConfig) -> SimResult:
     finiteness, extrema, level crossings and the wall test, which ends the
     run at the first level that hits.  The step from level n reads g up to
     level n + 1 - h/dt (n at h = 0), so the delayed sources of max(h/dt, 1)
-    steps are known at once: they are computed, and g of the new levels
-    enters the ring, in chunks of that many steps (at most _BLOCK).  Each
-    level's g is evaluated once, and every result equals that of checking
-    after each step.
+    steps are known at once: they are computed, and then g of their levels
+    enters the ring over levels no later step reads, in chunks of that many
+    steps (at most _BLOCK).  Each level's g is evaluated once, and every
+    result equals that of checking after each step.
     """
     state = init_cauchy(config)
     dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
@@ -278,11 +280,10 @@ def run(config: SimConfig) -> SimResult:
         block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
         with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
             for j0 in range(0, len(block), chunk):
-                if j0:
-                    _store_g(state, block[j0 - chunk:j0], n0 + j0 - chunk + 1)
                 part = block[j0:j0 + chunk]
                 for row, src in zip(part, _delayed_sources(state, n0 + j0, sources[:len(part)])):
                     cn_step(state, out=row, source=src)
+                _store_g(state, part, n0 + j0 + 1)
         lo, hi = float(block.min()), float(block.max())
         if np.isfinite(lo) and np.isfinite(hi):
             bad = len(block)
@@ -305,7 +306,6 @@ def run(config: SimConfig) -> SimResult:
         n0 += done
         if len(hit):
             break
-        _store_g(state, part, n0 - len(part) + 1)
     traj = (np.column_stack([np.concatenate(times), np.concatenate(positions)])
             if times else np.empty((0, 2)))
     c_ns, residual, window = _fit(traj, config.window_fraction)

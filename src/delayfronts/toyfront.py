@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from . import chareq
@@ -63,7 +62,6 @@ _CRITICAL_GAP = 1e-8
 # nodes (passing at dt = 8e-6); below the floor, 4.3e-6, even that fails.
 _RESIDUAL_TOL = 1e-6
 _DT_FLOOR = math.sqrt(_EPS / (12.0 * _RESIDUAL_TOL))
-_TOL = dict(xtol=1e-300, rtol=4 * _EPS)  # brentq to the last bits of the root
 
 
 def birth_rate(u, k: float):
@@ -123,7 +121,7 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
     F = lambda q: (
         T * T * (1.0 + q + math.exp(-q * h)) - T * q - 1.0 + k * math.exp(-T * q * h)
     )
-    q = brentq(F, 0.0, 2.0 * F0 / (T * (1.0 - T)), **_TOL)
+    q = chareq._root(F, 0.0, 2.0 * F0 / (T * (1.0 - T)))
     mu1 = math.sqrt(1.0 + q + math.exp(-q * h))
     c = q / mu1
     if chareq.eval_char_dz(T * mu1, c, h, k) > 0.0:
@@ -182,7 +180,7 @@ class WaveProfile:
     the normalization phi(-ch) = 1; the numeric segment continues the
     delayed linear equation phi'' - c phi' - phi + 4 - phi(t-ch) = 0 on
     [0, terminal_time] by one-step RK4 with Hermite-interpolated delayed
-    values, its e^{mu1 t} mode projected out of phi and dphi.
+    values, its e^{mu1 t} mode projected out of phi and dphi (h = 0: closed form).
     in_region_Dkappa is True when chi_kappa has two negative roots
     at c (chareq._dkappa_margin > 0), and classification is read from it:
     "monotone" inside D_kappa, "oscillatory" outside it, where phi - 2
@@ -237,37 +235,36 @@ class WaveProfile:
 def _delay_rk4(r, s, const, w, a0, b0, dt, n, m, history):
     """Method of steps for a scalar delayed linear equation by classical RK4.
 
-    Integrates a'' = r a' + s a + const + w a(t - m dt) in (a, b = a') from
-    (a0, b0) at t = 0 over n steps of dt; m = 0 means no delay (the last
-    term reads a(t)).  While t - m dt < 0 the delayed value is history(x) =
-    a(x dt) for the step offset x <= 0; the caller scales x by dt so that it
-    fixes the rounding of its own history.  After that, a(t - m dt) is read
-    from the stored nodes (a, a') by cubic Hermite interpolation.  x = 0 is
-    reached from the left (the k4 stage of step m - 1 reads history(0)) and
-    then from the right (the k1 stage of step m reads node 0), so a jump of
-    a at t = 0 is seen correctly.  Returns the node values of a and a',
-    n + 1 of each.
+    Integrates a'' = r a' + s a + const + w a(t - m dt), m >= 1, in (a, b = a')
+    from (a0, b0) at t = 0 over n steps of dt.  history holds a at the 2m + 1
+    half steps -m dt, (-m + 1/2) dt, ..., 0, read while t - m dt < 0.  After
+    that, a(t - m dt) is read from the stored nodes (a, a') by cubic Hermite
+    interpolation.  t - m dt = 0 is reached from the left (the k4 stage of
+    step m - 1 reads history[2m]) and then from the right (the k1 stage of
+    step m reads node 0), so a jump of a at t = 0 is seen correctly.  Returns
+    the node values of a and a', n + 1 of each.
     """
     # plain floats: the same IEEE arithmetic as numpy scalars, done faster
     r, s, const, w, dt = (float(x) for x in (r, s, const, w, dt))
+    history = np.asarray(history, dtype=float).tolist()
     av, bv = float(a0), float(b0)
     a, b = [av], [bv]
     half, sixth, herm = 0.5 * dt, dt / 6.0, 0.125 * dt
     for i in range(n):
         # delayed values at the start, the midpoint and the end of the step
         j = i - m
-        if m and j < 0:
-            d1, d2, d4 = float(history(j)), float(history(j + 0.5)), float(history(j + 1))
-        elif m:
+        if j < 0:
+            d1, d2, d4 = history[2 * i : 2 * i + 3]
+        else:
             d1, d4 = a[j], a[j + 1]
             d2 = 0.5 * d1 + herm * b[j] + 0.5 * d4 - herm * b[j + 1]
-        k1 = r * bv + s * av + const + w * (av if m == 0 else d1)
+        k1 = r * bv + s * av + const + w * d1
         a2, b2 = av + half * bv, bv + half * k1
-        k2 = r * b2 + s * a2 + const + w * (a2 if m == 0 else d2)
+        k2 = r * b2 + s * a2 + const + w * d2
         a3, b3 = av + half * b2, bv + half * k2
-        k3 = r * b3 + s * a3 + const + w * (a3 if m == 0 else d2)
+        k3 = r * b3 + s * a3 + const + w * d2
         a4, b4 = av + dt * b3, bv + dt * k3
-        k4 = r * b4 + s * a4 + const + w * (a4 if m == 0 else d4)
+        k4 = r * b4 + s * a4 + const + w * d4
         av += sixth * (bv + 2.0 * b2 + 2.0 * b3 + b4)
         bv += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         a.append(av)
@@ -324,13 +321,13 @@ def build_profile(
 
     The continuation runs to T_stop = min(t_max, ln(1e-8/eps)/mu1).  What
     rounding and RK4's O(dt^4) truncation error seed in the unstable mode
-    e^{mu1 t} is projected out of phi and phi' (_mode_part).  The
-    default step ch/m satisfies step <= 1e-3 * max(1, 1/c); a user grid_step
-    is snapped to the nearest exact divisor of ch.  Structural guarantees
-    (checked on the projected phi): phi < 3 everywhere, phi > 1 after the
-    junction, scaled residual at or below 1e-6.  A grid_step or t_max that
-    is not positive, or a step below _DT_FLOOR, too fine for the residual
-    check, is a DomainError.
+    e^{mu1 t} is projected out of phi and phi' (_mode_part), in closed form
+    at h = 0.  The default step ch/m satisfies step <= 1e-3 * max(1, 1/c); a
+    user grid_step is snapped to the nearest exact divisor of ch.  Structural
+    guarantees (checked on the projected phi): phi < 3 everywhere, phi > 1
+    after the junction, scaled residual at or below 1e-6.  A grid_step or
+    t_max that is not positive, or a step below _DT_FLOOR, too fine for the
+    residual check, is a DomainError.
     """
     _check_positive(t_max=t_max, grid_step=grid_step)
     lam1, lam2, mu1 = _tail_roots(c, h, k)
@@ -346,17 +343,22 @@ def build_profile(
     if t_max is not None:
         T_stop = min(T_stop, t_max)
     n = max(int(np.ceil(T_stop / dt)), 8)
+    t = dt * np.arange(n + 1)
 
     tail = lambda s: _tail(s, ch, p, lam1, lam2)
-    # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
-    phi, v = _delay_rk4(
-        c, 1.0, -4.0, 1.0, tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1),
-        dt, n, m, lambda x: tail(x * dt),
-    )
-    # phi - 2 solves y'' = c y' + y + y(t - ch)
-    mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
-    phi, v = phi - mode, v - mu1 * mode
-    t = dt * np.arange(n + 1)
+    phi0, v0 = tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1)
+    if m:
+        # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
+        phi, v = _delay_rk4(c, 1.0, -4.0, 1.0, phi0, v0, dt, n, m,
+                            tail(0.5 * np.arange(-2 * m, 1) * dt))
+        # phi - 2 solves y'' = c y' + y + y(t - ch)
+        mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
+        phi, v = phi - mode, v - mu1 * mode
+    else:
+        # phi - 2 solves y'' = c y' + 2 y: without e^{mu1 t}, B e^{(c - mu1) t}
+        B = (mu1 * (phi0 - 2.0) - v0) / (2.0 * mu1 - c)
+        decay = B * np.exp((c - mu1) * t)
+        phi, v = 2.0 + decay, (c - mu1) * decay
 
     residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)
     if residual_max > _RESIDUAL_TOL:
@@ -395,7 +397,7 @@ def _profile_residual(t, phi, c, h, k, m, dt, tail):
     """Worst scaled residual of the profile equation by five-point stencils."""
     n = len(t) - 1
     ch = c * h
-    kinks = (0.0, ch, 2.0 * ch) if h > 0.0 else (0.0,)
+    kinks = (0.0, ch, 2.0 * ch)
     idx = np.arange(2, n - 1)
     ti = t[idx]
     ok = np.ones(len(idx), dtype=bool)
@@ -407,10 +409,7 @@ def _profile_residual(t, phi, c, h, k, m, dt, tail):
     w = np.stack([phi[idx + o] for o in (-2, -1, 0, 1, 2)])
     d2 = (-w[0] + 16.0 * w[1] - 30.0 * w[2] + 16.0 * w[3] - w[4]) / (12.0 * dt * dt)
     d1 = (w[0] - 8.0 * w[1] + 8.0 * w[3] - w[4]) / (12.0 * dt)
-    if h == 0.0:
-        dly = phi[idx]
-    else:
-        dly = np.where(idx >= m, phi[np.maximum(idx - m, 0)], tail((idx - m) * dt))
+    dly = np.where(idx >= m, phi[np.maximum(idx - m, 0)], tail(np.minimum(idx - m, 0) * dt))
     r = d2 - c * d1 - phi[idx] + 4.0 - dly
     return float(np.max(np.abs(r) / (1.0 + np.abs(phi[idx]))))
 
@@ -472,15 +471,13 @@ class LimitQuantities:
 
 def limit_quantities(k: float) -> LimitQuantities:
     chareq._check_k(k)
-    rtol = 4 * _EPS
     # e^{-w}(2 + w) = a  <=>  -(2 + w) e^{-(2 + w)} = -a / e^2: the positive
     # w_plus on the W_{-1} branch, the w_minus below -2 on W0
     w_plus = float(-2.0 - lambertw(-2.0 / (k * np.e**2), -1).real)
     rho = math.sqrt(w_plus * (2.0 + w_plus))
     lambda_inf = math.sqrt(1.0 + 1.0 / rho**2) - 1.0 / rho
     # the positive root of mu^2 - 1 = e^{-mu r}
-    mu_of = lambda r: brentq(lambda mq: mq * mq - 1.0 - np.exp(-mq * r), 1.0, 50.0,
-                             xtol=1e-15, rtol=rtol)
+    mu_of = lambda r: chareq._root(lambda x: x * x - 1.0 - np.exp(-x * r), 1.0, 50.0)
     w_minus = float(-2.0 - lambertw(2.0 / np.e**2).real)
     rho_hat = math.sqrt(w_minus * (2.0 + w_minus))
     mu_inf, mu_hat = mu_of(rho), mu_of(rho_hat)
@@ -489,7 +486,7 @@ def limit_quantities(k: float) -> LimitQuantities:
     z_min = chareq._critical_point(0.0, rho_hat, k, 0)
     lambda_hat: float | None = None
     if f_hat(z_min) <= 0.0:
-        lambda_hat = brentq(f_hat, z_min, 1.0, xtol=1e-15, rtol=rtol)
+        lambda_hat = chareq._root(f_hat, z_min, 1.0)
     return LimitQuantities(
         w_plus=w_plus,
         rho=rho,
@@ -526,10 +523,10 @@ def _pushed_end(k: float) -> tuple[float, bool]:
         raise DomainError("the pushed-branch thresholds need k in (1, 5/3)")
     T = (3.0 - k) / 4.0
     bound = math.log((T * T + k) / (1.0 - T * T)) / T
-    a_max = brentq(lambda a: _pushed_branch(a, k)[0], 0.0, bound, **_TOL)
+    a_max = chareq._root(lambda a: _pushed_branch(a, k)[0], 0.0, bound)
     if _pushed_slope(a_max, k) >= 0.0:
         return a_max, False
-    return brentq(_pushed_slope, 0.0, a_max, args=(k,), **_TOL), True
+    return chareq._root(_pushed_slope, 0.0, a_max, args=(k,)), True
 
 
 def pushed_to_pulled_delay(k: float) -> float:
@@ -553,4 +550,4 @@ def oscillation_threshold(k: float) -> float | None:
     a_end = _pushed_end(k)[0]
     if P(a_end) > 0.0:
         return None
-    return _pushed_branch(brentq(P, 0.0, a_end, **_TOL), k)[1]
+    return _pushed_branch(chareq._root(P, 0.0, a_end), k)[1]

@@ -41,6 +41,23 @@ def bisect_roots_on_grid(f, grid, tol=1e-13):
     return roots
 
 
+class TestModelParams:
+    def test_only_the_slope_is_set(self):
+        # g'(kappa) = -1 and kappa = 2 belong to the piecewise-linear model
+        with pytest.raises(TypeError):
+            ModelParams(1.2, slope_kappa=-2.0)
+        with pytest.raises(TypeError):
+            ModelParams(1.2, kappa=3.0)
+        params = ModelParams(1.2)
+        assert (params.slope_kappa, params.kappa) == (-1.0, 2.0)
+        assert ModelParams.toy(1.2) == params
+
+    @pytest.mark.parametrize("k", [3.5, 1.0, 0.5, float("nan")])
+    def test_slope_outside_the_model_refused(self, k):
+        with pytest.raises(DomainError, match="k must lie"):
+            ModelParams(k)
+
+
 class TestEvalChar:
     def test_at_origin_exponential_collapses(self):
         assert eval_char(0.0, 1.0, 0.5, 1.2) == pytest.approx(0.2, abs=1e-15)
@@ -78,6 +95,11 @@ class TestRootsAtZero:
         assert r.exists
         assert r.lambda1 == pytest.approx(np.sqrt(0.2), abs=1e-6)
         assert r.lambda2 == pytest.approx(np.sqrt(0.2), abs=1e-6)
+
+    def test_double_root_at_the_minimum(self):
+        # chi = (z - 1)^2: both brackets end at the minimum, where chi = 0
+        r = roots_at_zero(2.0, 0.0, ModelParams.toy(2.0))
+        assert (r.lambda1, r.lambda2, r.exists) == (1.0, 1.0, True)
 
     def test_delayed_roots_match_scan_oracle(self, toy12):
         c, h = 0.6562, 0.5

@@ -51,6 +51,11 @@ class TestConfigAndInit:
         with pytest.raises(DomainError, match="window_fraction"):
             run(SimConfig(h=0.5, k=1.2, t_end=2.0, window_fraction=fraction))
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_window_fraction_outside_unit_interval_rejected_at_construction(self, fraction):
+        with pytest.raises(DomainError, match="window_fraction"):
+            SimConfig(h=6.0, k=1.2, t_end=400.0, window_fraction=fraction)
+
     @pytest.mark.parametrize("times", [(50.0,), (-1.0,), (0.0, 10.5), (float("nan"),)])
     def test_snapshot_outside_run_rejected(self, times):
         with pytest.raises(DomainError, match="snapshot_times"):

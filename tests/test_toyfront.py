@@ -259,7 +259,7 @@ class TestDelayRK4:
         # the cubic-Hermite midpoint read reproduces the quadratic exactly.
         w, A, B, tau, m = -0.7, 1.3, -0.4, 1.0, 8
         dt = tau / m
-        a, da = _delay_rk4(0.0, 0.0, 0.0, w, A, B, dt, 2 * m, m, lambda x: A)
+        a, da = _delay_rk4(0.0, 0.0, 0.0, w, A, B, dt, 2 * m, m, np.full(2 * m + 1, A))
         t = dt * np.arange(2 * m + 1)
         first, u = t <= tau, t - tau
         a1, b1 = A + B * tau + w * A * tau**2 / 2, B + w * A * tau
@@ -276,19 +276,19 @@ class TestDelayRK4:
         np.testing.assert_allclose(a, exact, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(da, exact_d, rtol=0.0, atol=1e-12)
 
-    def test_no_delay_steps_by_the_degree_four_taylor_polynomial(self):
-        # m = 0: a'' = r a' + (s + w) a; each RK4 step multiplies (a, a') by
-        # the degree-4 Taylor polynomial of e^{dt M} exactly
-        s, r, w, dt, n = 0.3, -0.5, -2.0, 0.05, 40
-        a, da = _delay_rk4(r, s, 0.0, w, 1.0, 0.2, dt, n, 0, None)
-        M = dt * np.array([[0.0, 1.0], [s + w, r]])
-        R = np.eye(2) + M + M @ M / 2 + M @ M @ M / 6 + M @ M @ M @ M / 24
-        y = np.array([1.0, 0.2])
-        ref = [y]
-        for _ in range(n):
-            y = R @ y
-            ref.append(y)
-        np.testing.assert_allclose(np.column_stack([a, da]), ref, rtol=0.0, atol=1e-12)
+    def test_history_read_at_half_steps(self):
+        # a'' = w a(t - tau) with the C^1 history a = A + B x on [-tau, 0]:
+        # the forcing is linear on [0, tau], the solution cubic, and RK4 with
+        # the exact forcing at each stage reproduces it
+        w, A, B, tau, m = -0.7, 1.3, -0.4, 1.0, 8
+        dt = tau / m
+        history = A + B * (0.5 * np.arange(-2 * m, 1) * dt)
+        a, da = _delay_rk4(0.0, 0.0, 0.0, w, A, B, dt, m, m, history)
+        t = dt * np.arange(m + 1)
+        exact = A + B * t + w * ((A - B * tau) * t**2 / 2 + B * t**3 / 6)
+        exact_d = B + w * ((A - B * tau) * t + B * t**2 / 2)
+        np.testing.assert_allclose(a, exact, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(da, exact_d, rtol=0.0, atol=1e-13)
 
 
 class TestBuildProfile:
@@ -302,6 +302,27 @@ class TestBuildProfile:
         # pure e^{lambda1 t} tail
         ts = np.linspace(-5.0, 0.0, 50)
         assert np.allclose(prof.tail(ts), np.exp(prof.lambda1 * ts), rtol=1e-12)
+
+    # the coarse step puts nodes where the tail e^{lambda1 t} would overflow
+    @pytest.mark.parametrize("k,factor,grid_step", [
+        (1.2, 1.0, None), (1.2, 1.5, None), (2.0, 1.05, None), (2.9, 1.5, None),
+        (1.2, 3.5, 100.0),
+    ])
+    def test_nondelayed_continuation_is_closed_form(self, k, factor, grid_step, monkeypatch):
+        # h = 0: phi - 2 solves y'' = c y' + 2 y, so without its e^{mu1 t}
+        # mode it is one exponential, and no integration runs
+        def no_integration(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(toyfront, "_delay_rk4", no_integration)
+        c = factor * minimal_speed(0.0, k)[0]
+        prof = build_profile(c, 0.0, k, grid_step=grid_step)
+        y = prof.phi - 2.0
+        np.testing.assert_allclose(prof.dphi, (c - prof.mu1) * y, rtol=0.0, atol=1e-15)
+        mode = toyfront._mode_part(y, prof.dphi, c, 0.0, -1.0, prof.mu1,
+                                   prof.grid_step, 0)
+        assert np.max(np.abs(mode)) <= 1e-15
+        assert prof.residual_max <= 1e-6
 
     def test_pushed_delayed_profile_monotone(self):
         c, _ = minimal_speed(0.5, 1.2)
