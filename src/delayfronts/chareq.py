@@ -69,6 +69,19 @@ def _check_k(k: float) -> None:
         raise DomainError(f"k must lie in (1, 3), got {k}")
 
 
+def _check_h(h: float) -> None:
+    """The delay domain: finite h >= 0 (NaN is refused too)."""
+    if not 0.0 <= h < math.inf:
+        raise DomainError(f"delay must be finite and >= 0, got {h}")
+
+
+def _check_c_h(c: float, h: float) -> None:
+    """The (c, h) domain of the root finders: finite c > 0 and h >= 0."""
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"wave speed must be finite and positive, got {c}")
+    _check_h(h)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Slopes and equilibria of the piecewise-linear birth law g(u) = k*u
@@ -181,8 +194,7 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     roots.  chi > z^2 - c z - 1 puts both below the larger root of that
     quadratic, the upper bracket.
     """
-    if c <= 0.0:
-        raise DomainError("wave speed must be positive")
+    _check_c_h(c, h)
     k = params.slope_zero
     zmin = _critical_point(c, c * h, k, 0)
     fmin = eval_char(zmin, c, h, k)
@@ -236,8 +248,7 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     At h = 0 the function is a quadratic, mu3 is reported absent and the
     region flag is True for every c.  0 < c h < 1e-70 raises DomainError.
     """
-    if c <= 0.0:
-        raise DomainError("wave speed must be positive")
+    _check_c_h(c, h)
     s = params.slope_kappa
     mu1 = _mu1(c, h, s)
     if h == 0.0:
@@ -273,9 +284,8 @@ def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     """
     if not slope > 1.0:
         raise DomainError("double_root_speed needs slope > 1")
-    if h < 0.0:
-        raise DomainError("delay must be nonnegative")
-    if not h <= _H_MAX:
+    _check_h(h)
+    if h > _H_MAX:
         raise DomainError(f"delay must be at most {_H_MAX:g}, got {h:g}")
     c0 = 2.0 * math.sqrt(slope - 1.0)
     F = lambda c: eval_char(_critical_point(c, c * h, slope, 0), c, h, slope)
@@ -307,6 +317,7 @@ def c_kappa_curve(h: float, params: ModelParams) -> float:
     by bracketed bisection.  It agrees with the double-negative-root system
     chi_kappa(mu) = chi_kappa'(mu) = 0 well below the 1e-10 contract.
     """
+    _check_h(h)
     hs = h_star(params.slope_kappa)
     if h <= hs:
         raise DomainError(f"c_kappa_curve is defined for h > h_star = {hs:.6g}")
@@ -354,11 +365,13 @@ def count_zeros_right_of(c: float, h: float, slope: float, re_lo: float) -> int:
     rho_k is bracketed with certainty.  A zero on (or hugging) the line
     moves it left by 1e-6 steps, a bounded number of times.  Past
     r + 1, r = (c + sqrt(c^2 + 4(1 + |B|)))/2, |z^2 - c z - 1| > |B|
-    leaves no zero and the answer is 0.  c <= 0, h < 0, an overflowing
-    e^{-re_lo tau} or over _MAX_PIECES monotone pieces raise DomainError.
+    leaves no zero and the answer is 0.  (c, h) outside _check_c_h, a
+    slope or re_lo that is not finite, an overflowing e^{-re_lo tau} or over
+    _MAX_PIECES monotone pieces raise DomainError.
     """
-    if c <= 0.0 or h < 0.0:
-        raise DomainError("count_zeros_right_of needs c > 0 and h >= 0")
+    _check_c_h(c, h)
+    if not (math.isfinite(slope) and math.isfinite(re_lo)):
+        raise DomainError(f"slope and re_lo must be finite, got {slope} and {re_lo}")
     tau = c * h
     try:
         E = math.exp(-(re_lo - _MAX_NUDGES * _NUDGE) * tau)

@@ -43,6 +43,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list option; a bad entry is a usage error."""
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _print_kv(pairs) -> None:
     for key, val in pairs:
         print(f"{key}={_fmt(val)}")
@@ -106,6 +114,9 @@ def _cmd_roots(args) -> int:
 
 def _cmd_curves(args) -> int:
     params = ModelParams.toy(args.k)
+    if not (np.isfinite([args.h_min, args.h_max, args.h_step]).all()
+            and args.h_step > 0.0 and args.h_max >= args.h_min):
+        raise UsageError("curves needs finite --h-min <= --h-max and --h-step > 0")
     n = int(round((args.h_max - args.h_min) / args.h_step))
     grid = [args.h_min + i * args.h_step for i in range(n + 1)]
     man = _Manifest("curves", vars(args), args.out)
@@ -182,7 +193,7 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    snaps = tuple(float(s) for s in args.snapshots.split(",")) if args.snapshots else ()
+    snaps = _floats(args.snapshots, "--snapshots") if args.snapshots else ()
     cfg = pdesim.SimConfig(
         h=args.h, k=args.k, t_end=args.t_end, x_min=args.x_min, x_max=args.x_max,
         dx=args.dx, dt=args.dt, snapshot_times=snaps,
@@ -229,7 +240,7 @@ def _table_row(h: float, k: float, t_end: float) -> tuple:
 
 
 def _cmd_table(args) -> int:
-    rows = [float(s) for s in args.rows.split(",")]
+    rows = _floats(args.rows, "--rows")
     man = _Manifest("table", vars(args), args.out)
     results = [_table_row(h, args.k, args.t_end) for h in rows]
     man.write_csv("table.csv", "h,c_sharp,c_star,c_ns", *zip(*results))

@@ -5,11 +5,13 @@ Crank-Nicolson in time and second-order central differences in space for
     u_t = u_xx - u + g(u(t - h, x)),
 
 with the piecewise-linear birth law, exact Dirichlet values at both ends,
-and the delayed source read from a ring of stored g(u) levels.  Each step
-is one LAPACK pttrs solve for the interior unknowns, whose constant SPD
-tridiagonal matrix pttrf factors once.  The front position is tracked as
-the leftmost crossing of a fixed level and its asymptotic speed fitted on
-the trailing part of the trajectory.
+and the delayed source read from a ring of stored g(u) levels.  The
+interior Crank-Nicolson matrices satisfy A + B = 2I, so each step solves
+A (u^{n+1} + u^n) = 2 u^n + f by one LAPACK pttrs on A (factored once by
+pttrf) and subtracts u^n; f, dt times the delayed source with the
+Dirichlet terms 2r bc at its ends, comes a chunk of steps at a time.  The
+front is the leftmost crossing of u = 1 = kappa/2, its speed fitted on the
+trailing half of the trajectory.
 
 run() is blocked in time: only the right-hand side and the solve are done
 step by step.  The delayed sources, g of the new levels (each level still
@@ -39,13 +41,15 @@ __all__ = [
     "estimate_speed",
 ]
 
+_LEVEL = 1.0  # the tracked level, kappa/2
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Grid, delay and tracking parameters of one run.
 
     Defaults reproduce the reference discretization: domain [-25, 25],
-    dx = 0.05, dt = 0.01, Dirichlet values 0 and 2, level-1 front tracking.
+    dx = 0.05, dt = 0.01, Dirichlet values 0 and 2.
     h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
     step_location shifts the initial step interface (x < step_location -> 0,
     else 2); snapshot_times, within [0, t_end], request copies of the field.
@@ -60,10 +64,8 @@ class SimConfig:
     dt: float = 0.01
     bc_left: float = 0.0
     bc_right: float = 2.0
-    level: float = 1.0
     step_location: float = 0.0
     stop_margin: float = 5.0
-    window_fraction: float = 0.5
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -82,8 +84,6 @@ class SimConfig:
             raise DomainError(f"x_max - x_min must span at least 3 cells, got {round(nx)}")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise DomainError(f"snapshot_times must lie in [0, t_end = {self.t_end}]")
-        if not 0.0 < self.window_fraction < 1.0:
-            raise DomainError("window_fraction must lie in (0, 1)")
 
     @property
     def delay_steps(self) -> int:
@@ -164,8 +164,9 @@ def _ring(g: np.ndarray, first: int, count: int):
 
 
 def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> np.ndarray:
-    """dt times the delayed source on the interior for steps first, first + 1,
-    ..., one row of out per step; the ring must hold every level they read."""
+    """The right-hand side but 2 u^n of steps first, first + 1, ..., a row of
+    out each: dt times the delayed source on the interior plus the Dirichlet
+    terms 2r bc at its ends.  The ring must hold every level they read."""
     cfg, g, count = state.config, state.history, len(out)
     m = cfg.delay_steps
     if m >= 1:
@@ -176,6 +177,8 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> np.ndarray
         np.subtract(1.5 * g[_ring(g, first, count), 1:-1],
                     0.5 * g[_ring(g, first - 1, count), 1:-1], out=out)
     out *= cfg.dt
+    out[:, 0] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
+    out[:, -1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
     return out
 
 
@@ -188,32 +191,27 @@ def cn_step(state: SimState, out: np.ndarray | None = None,
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
-    One pttrs solve on init_cauchy's factors gives the interior nodes, and
-    the end nodes get their Dirichlet values exactly.  g of the new level is
-    evaluated once and written over the ring row no longer needed.
+    A + B = 2I on the interior, so one pttrs solve on init_cauchy's factors
+    of A gives u^{n+1} + u^n = A^{-1}(2 u^n + source); the end nodes get
+    their Dirichlet values exactly.  g of the new level is evaluated once
+    and written over the ring row no longer needed.
 
     run() passes out, a contiguous row of n_points floats other than
-    state.u, and source, dt times this step's delayed source on the interior
-    (from _delayed_sources).  The new level is written into out and the step
-    ends after the solve: its g and its finiteness are left to run(), which
-    settles them a block of levels at a time.
+    state.u, and source, this step's row of _delayed_sources (the whole
+    right-hand side but 2 u^n).  The new level is written into out and the
+    step ends after the solve: its g and its finiteness are left to run(),
+    which settles them a block of levels at a time.
     """
     cfg = state.config
-    r = cfg.dt / (2.0 * cfg.dx * cfg.dx)
     u, n = state.u, state.step_count
     if source is None:
         source = _delayed_sources(state, n, np.empty((1, len(u) - 2)))[0]
     new = np.empty_like(u) if out is None else out
-    # b = r u[:-2] + (1 - 2r - dt/2) u[1:-1] + r u[2:] + dt src[1:-1], in
-    # that order, built in the new level's interior, which pttrs solves in place
-    b, w = new[1:-1], np.empty(len(u) - 2)
-    np.multiply(u[:-2], r, out=b)
-    b += np.multiply(u[1:-1], 1.0 - 2.0 * r - cfg.dt / 2.0, out=w)
-    b += np.multiply(u[2:], r, out=w)
+    # the sum is solved for in place in the new level's interior
+    b = np.multiply(u[1:-1], 2.0, out=new[1:-1])
     b += source
-    b[0] += r * cfg.bc_left
-    b[-1] += r * cfg.bc_right
     dpttrs(*state.factor, b, overwrite_b=True)
+    b -= u[1:-1]
     new[0], new[-1] = cfg.bc_left, cfg.bc_right
     if out is None:
         if not np.all(np.isfinite(new)):
@@ -289,7 +287,7 @@ def run(config: SimConfig) -> SimResult:
             bad = len(block)
         else:
             bad = int(np.argmin(np.isfinite(block).all(axis=1)))
-        xl, crossed = _level_crossings(state.x, block[:bad], config.level)
+        xl, crossed = _level_crossings(state.x, block[:bad], _LEVEL)
         hit = np.flatnonzero(crossed & (xl <= config.x_min + config.stop_margin))
         if not len(hit) and bad < len(block):
             raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
@@ -308,7 +306,7 @@ def run(config: SimConfig) -> SimResult:
             break
     traj = (np.column_stack([np.concatenate(times), np.concatenate(positions)])
             if times else np.empty((0, 2)))
-    c_ns, residual, window = _fit(traj, config.window_fraction)
+    c_ns, residual, window = _fit(traj, 0.5)
     return SimResult(
         snapshots=snapshots,
         level_trajectory=traj,

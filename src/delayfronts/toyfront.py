@@ -113,8 +113,7 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
     pushed at speed c.  Otherwise it is lambda2, no speed solves the
     selection equation, and the linear speed is minimal (pulled).
     """
-    if h < 0.0:
-        raise DomainError("delay must be nonnegative")
+    chareq._check_h(h)
     chareq._check_k(k)
     T = (3.0 - k) / 4.0
     F0 = 2.0 * T * T + k - 1.0

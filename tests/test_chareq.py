@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,12 +7,14 @@ import pytest
 from delayfronts import (
     DomainError,
     ModelParams,
+    build_profile,
     c_kappa_curve,
     count_zeros_right_of,
     double_root_speed,
     eval_char,
     h_star,
     minimal_speed,
+    psi_kernel,
     roots_at_kappa,
     roots_at_zero,
 )
@@ -56,6 +60,38 @@ class TestModelParams:
     def test_slope_outside_the_model_refused(self, k):
         with pytest.raises(DomainError, match="k must lie"):
             ModelParams(k)
+
+
+# each entry point with one argument set to the value under test
+_TOY = ModelParams(1.2)
+_CH_ENTRIES = {
+    "count_zeros_right_of c": lambda v: count_zeros_right_of(v, 1.0, -1.0, 0.0),
+    "count_zeros_right_of h": lambda v: count_zeros_right_of(1.0, v, -1.0, 0.0),
+    "count_zeros_right_of slope": lambda v: count_zeros_right_of(1.0, 1.0, v, 0.0),
+    "count_zeros_right_of re_lo": lambda v: count_zeros_right_of(1.0, 1.0, -1.0, v),
+    "roots_at_zero c": lambda v: roots_at_zero(v, 1.0, _TOY),
+    "roots_at_zero h": lambda v: roots_at_zero(1.5, v, _TOY),
+    "roots_at_kappa c": lambda v: roots_at_kappa(v, 1.0, _TOY),
+    "roots_at_kappa h": lambda v: roots_at_kappa(1.5, v, _TOY),
+    "double_root_speed h": lambda v: double_root_speed(v, 1.2),
+    "minimal_speed h": lambda v: minimal_speed(v, 1.2),
+    "c_kappa_curve h": lambda v: c_kappa_curve(v, _TOY),
+    "build_profile c": lambda v: build_profile(v, 1.0, 1.2),
+    "build_profile h": lambda v: build_profile(1.5, v, 1.2),
+    "psi_kernel c": lambda v: psi_kernel(v, 1.0, _TOY),
+    "psi_kernel h": lambda v: psi_kernel(0.5, v, _TOY),
+}
+
+
+# NaN made count_zeros_right_of return 1, a count that certifies nothing,
+# and the others raise scipy's untyped ValueError
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", list(_CH_ENTRIES))
+def test_non_finite_speed_or_delay_is_domain_error(entry, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            _CH_ENTRIES[entry](value)
 
 
 class TestEvalChar:

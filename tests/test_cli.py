@@ -392,6 +392,39 @@ class TestExitCodes:
     def test_invalid_k_is_domain_error(self, capsys):
         assert main(["toy", "--k", "3.5"]) == 1
 
+    # these raised scipy's untyped ValueError out of a root solve
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--c", "nan", "--h", "1"],
+        ["roots", "--c", "inf", "--h", "1"],
+        ["roots", "--c", "1", "--h", "nan"],
+        ["profile", "--h", "nan"],
+        ["profile", "--h", "1", "--c", "inf"],
+        ["kernel", "--c", "0.5", "--h", "inf"],
+        ["kernel", "--c", "nan", "--h", "1"],
+    ])
+    def test_non_finite_speed_or_delay_is_domain_error(self, tmp_path, capsys, argv):
+        out = [] if argv[0] == "roots" else ["--out", str(tmp_path)]
+        assert main([*argv, "--k", "1.2", *out]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+
+    # these raised ZeroDivisionError or ValueError, and a negative step or
+    # a reversed grid exited 0 with a header-only curves.csv
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--h-step", "0"],
+        ["curves", "--h-step", "nan"],
+        ["curves", "--h-min", "nan"],
+        ["curves", "--h-step", "-0.05"],
+        ["curves", "--h-min", "2", "--h-max", "1"],
+        ["table", "--rows", "a"],
+        ["table", "--rows", "0.5,,1"],
+        ["simulate", "--h", "0.5", "--snapshots", "x"],
+    ])
+    def test_bad_grid_or_list_argument_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--k", "1.2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy_signal(self):
