@@ -49,7 +49,7 @@ __all__ = [
     "count_zeros_right_of",
 ]
 
-# Roots of chi are bisected to this x-tolerance, then Newton-polished.
+# Roots of chi are solved to this x-tolerance, then Newton-polished (_chi_root).
 _XTOL = 1e-13
 _RTOL = 4 * np.finfo(float).eps
 _NEWTON_POLISH = 3
@@ -61,6 +61,12 @@ _TAU_FLOOR = 1e-70
 # brentq needs ~log2(h) + 52 halvings from c0 to reach it, and its default 100
 # ran out from h ~ 6e27 on (slopes in (1, 3)).
 _H_MAX = 1e20
+# the root finders refuse speeds above this: rounding of c tau = c^2 h in
+# _dkappa_margin grows like eps c^2 h against a margin term of -2h, so exp
+# overflows once eps c^2 ~ 2 (c ~ 1e8); a scan of roots_at_kappa over h in
+# 1e-12-1e30 (0.1 decades) and c in 0.005-decade steps first failed at
+# c = 1.48e8 (h = 1.6e10), and roots_at_zero at c = 1e12 (h <= 0.01).
+_C_MAX = 1e7
 
 
 def _check_k(k: float) -> None:
@@ -76,9 +82,9 @@ def _check_h(h: float) -> None:
 
 
 def _check_c_h(c: float, h: float) -> None:
-    """The (c, h) domain of the root finders: finite c > 0 and h >= 0."""
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"wave speed must be finite and positive, got {c}")
+    """The (c, h) domain of the root finders: 0 < c <= _C_MAX, finite h >= 0."""
+    if not 0.0 < c <= _C_MAX:
+        raise DomainError(f"wave speed must lie in (0, {_C_MAX:g}], got {c}")
     _check_h(h)
 
 
@@ -142,14 +148,16 @@ def eval_char_dz(z, c, h, slope):
     return out[()] if out.ndim == 0 else out
 
 
-def _root(f, a: float, b: float, args=()) -> float:
-    """The root of f bracketed by [a, b], to the last bits (brentq)."""
-    return brentq(f, a, b, args=args, xtol=1e-300, rtol=_RTOL)
+def _root(f, a: float, b: float, args=(), xtol: float = 1e-300) -> float:
+    """The root of f bracketed by [a, b], to xtol (default: the last bits)."""
+    return brentq(f, a, b, args=args, xtol=xtol, rtol=_RTOL)
 
 
-def _polish(z: float, c: float, h: float, slope: float) -> float:
-    """Newton steps from a bracketed root; one ten times longer than the
-    bracket tolerance (chi' ~ 0 at a near-double root) would leave it."""
+def _chi_root(a: float, b: float, c: float, h: float, slope: float) -> float:
+    """The root of chi bracketed by [a, b], to _XTOL, then Newton-polished:
+    a step ten times longer than that tolerance (chi' ~ 0 at a near-double
+    root) would leave the bracketed root, so it ends the polish."""
+    z = _root(eval_char, a, b, args=(c, h, slope), xtol=_XTOL)
     for _ in range(_NEWTON_POLISH):
         d = eval_char_dz(z, c, h, slope)
         if d == 0.0:
@@ -200,13 +208,11 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     fmin = eval_char(zmin, c, h, k)
     if fmin > 0.0:
         return RootsAtZero(np.nan, np.nan, exists=False)
-    f = lambda z: eval_char(z, c, h, k)
     # relative margin on the upper bracket: chi(zmax) is exponentially small
     # but positive, and the bare evaluation can lose its sign to cancellation
     hi = 0.5 * (c + np.sqrt(c * c + 4.0)) * (1.0 + 1e-6) + 1e-9
-    lam2 = brentq(f, 1e-14, zmin, xtol=_XTOL, rtol=_RTOL)
-    lam1 = brentq(f, zmin, hi, xtol=_XTOL, rtol=_RTOL)
-    return RootsAtZero(_polish(lam1, c, h, k), _polish(lam2, c, h, k), exists=True)
+    lam2 = _chi_root(1e-14, zmin, c, h, k)
+    return RootsAtZero(_chi_root(zmin, hi, c, h, k), lam2, exists=True)
 
 
 def _mu1(c: float, h: float, s: float) -> float:
@@ -214,14 +220,7 @@ def _mu1(c: float, h: float, s: float) -> float:
     lo = 0.5 * (c + np.sqrt(c * c + 4.0))
     hi = 0.5 * (c + np.sqrt(c * c + 4.0 * (1.0 - s)))
     # margins beat the cancellation noise of z^2 - cz - 1 near its root
-    mu1 = brentq(
-        lambda z: eval_char(z, c, h, s),
-        lo * (1.0 - 1e-6) - 1e-9,
-        hi * (1.0 + 1e-6) + 1e-9,
-        xtol=_XTOL,
-        rtol=_RTOL,
-    )
-    return _polish(mu1, c, h, s)
+    return _chi_root(lo * (1.0 - 1e-6) - 1e-9, hi * (1.0 + 1e-6) + 1e-9, c, h, s)
 
 
 def _dkappa_margin(c: float, tau: float, s: float) -> float:
@@ -263,12 +262,10 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     if f(zpk) <= 0.0:
         # the margin is positive by rounding alone: one double root at the peak
         return RootsAtKappa(mu1, zpk, zpk, True)
-    mu2 = brentq(f, zpk, -1e-15, xtol=_XTOL, rtol=_RTOL)
     lo = zpk
     while f(lo) > 0.0:
         lo = 2.0 * lo if lo < -1.0 else lo - 1.0
-    mu3 = brentq(f, lo, zpk, xtol=_XTOL, rtol=_RTOL)
-    return RootsAtKappa(mu1, _polish(mu2, c, h, s), _polish(mu3, c, h, s), True)
+    return RootsAtKappa(mu1, _chi_root(zpk, -1e-15, c, h, s), _chi_root(lo, zpk, c, h, s), True)
 
 
 def double_root_speed(h: float, slope: float) -> tuple[float, float]:

@@ -177,10 +177,10 @@ def _cmd_profile(args) -> int:
 
 def _cmd_kernel(args) -> int:
     params = ModelParams.toy(args.k)
-    man = _Manifest("kernel", vars(args), args.out)
     psi = kernels.psi_kernel(args.c, args.h, params, t_max=args.t_max,
                              step=args.step)
     nker = kernels._convolve_theta(psi, params)
+    man = _Manifest("kernel", vars(args), args.out)
     theta_vals = kernels.theta_kernel(nker.t, psi.mu2)
     for name, grid_t, grid_v in (
         ("psi.csv", psi.t, psi.values),

@@ -41,6 +41,10 @@ __all__ = [
 
 _SUPPORT_DECADES = 23.03  # e^-23.03 < 1e-10
 _RELATIVE_FLOOR = 1e-13
+# psi and N grids are refused above this many nodes, before allocation: peak
+# memory measured 32 bytes per psi node and 53-56 per N node (1.3-7.2 million
+# nodes at (c, h) = (0.05, 0.05) and (0.03, 0.03), k = 1.2), so ~0.6 GB here
+_MAX_NODES = 10_000_000
 
 
 @dataclass
@@ -81,6 +85,13 @@ def theta_kernel(t, mu2: float):
     return out[()] if out.ndim == 0 else out
 
 
+def _check_nodes(name: str, span: float, dt: float) -> None:
+    """DomainError when a grid of step dt over span would exceed _MAX_NODES."""
+    if not span <= _MAX_NODES * dt:
+        raise DomainError(f"the {name} grid of step {dt:.3g} over {span:.4g} would exceed "
+                          f"{_MAX_NODES:.0e} nodes; use a larger step or a shorter t_max")
+
+
 def _require_region(c: float, h: float, params: ModelParams) -> chareq.RootsAtKappa:
     roots = chareq.roots_at_kappa(c, h, params)
     if not roots.in_region_Dkappa:
@@ -119,19 +130,23 @@ def psi_kernel(
     if h == 0.0:
         # chi'(mu1) = mu1 - mu2 for the quadratic, so psi(0+) = 0 and the
         # forward solution of y' = mu1 y vanishes identically
-        dt = step if step else 0.005
+        dt, T_pos = (step if step else 0.005), (t_max if t_max else 1.0)
+        _check_nodes("psi", _SUPPORT_DECADES / mu1 + T_pos, dt)
         n_neg = int(np.ceil(_SUPPORT_DECADES / mu1 / dt))
-        n_pos = max(int(np.ceil((t_max if t_max else 1.0) / dt)), 2)
+        n_pos = max(int(np.ceil(T_pos / dt)), 2)
         t = dt * np.arange(-n_neg, n_pos + 1)
         vals = np.where(t < 0.0, amp * np.exp(mu1 * t), 0.0)
         return KernelGrid(t, vals, dt, 1.0, mu1, mu2, None, "tail")
 
     ch = c * h
-    m = 200 if step is None else max(4, int(round(ch / step)))
-    dt = ch / m
     T_tail, T_stop = 1.2 * _SUPPORT_DECADES / abs(mu3), _stop_time(mu1)
     T_end = min(T_tail, T_stop)
     T_pos = T_end if t_max is None else min(t_max, T_end)
+    # psi's nodes and the 2m + 1 half steps of its history, at dt ~ min(step, ch/4)
+    _check_nodes("psi", _SUPPORT_DECADES / mu1 + T_pos + 2.0 * ch,
+                 ch / 200 if step is None else min(step, ch / 4))
+    m = 200 if step is None else max(4, int(round(ch / step)))
+    dt = ch / m
     n_pos = max(int(np.ceil(T_pos / dt)), 2)
     n_neg = int(np.ceil(_SUPPORT_DECADES / mu1 / dt))
 
@@ -196,6 +211,7 @@ def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
     t_neg, s, fwd = psi.t[:n_neg], psi.t[n_neg:], psi.values[n_neg:]
     amp = fwd[0] - psi.jump_at_zero
     N_neg = amp * np.exp(mu1 * t_neg) / (mu1 - mu2)
+    _check_nodes("N", len(psi.t) * dt + _SUPPORT_DECADES / abs(mu2), dt)
     f = np.exp(-mu2 * s) * fwd
     integral = dt * (np.cumsum(f) - 0.5 * (f[0] + f))
     N_fwd = np.exp(mu2 * s) * (amp / (mu1 - mu2) + integral)

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _LEVEL = 1.0  # the tracked level, kappa/2
+# SimConfig refuses grids whose g ring and block of levels, max(h/dt, 16) + 1
+# rows of n_points floats, would hold more cells than this (400 MB)
+_MAX_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,12 @@ class SimConfig:
         if not (np.all(np.isfinite(grid)) and self.h >= 0.0
                 and min(self.dx, self.dt, self.t_end) > 0.0):
             raise DomainError("finite grid with h >= 0 and dx, dt, t_end > 0 required")
-        m = self.h / self.dt
+        m, nx = self.h / self.dt, (self.x_max - self.x_min) / self.dx
+        if not (max(m, _BLOCK) + 1) * (abs(nx) + 1) <= _MAX_CELLS:
+            raise DomainError(f"a grid of h/dt = {m:.3g} delay steps and {nx:.3g} cells "
+                              f"would exceed {_MAX_CELLS:.0e} stored values")
         if abs(m - round(m)) > 1e-9:
             raise DomainError(f"h/dt = {m} is not an integer")
-        nx = (self.x_max - self.x_min) / self.dx
         if abs(nx - round(nx)) > 1e-9:
             raise DomainError("(x_max - x_min)/dx is not an integer")
         if round(nx) < 3:  # scipy's dpttrf wrapper fails on one interior unknown

@@ -81,10 +81,11 @@ def in_region_Dstar(h: float, c: float, slope_kappa: float, mu2: float) -> bool:
 def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:
     hs = h_star(params.slope_kappa)
     h_hat = 1.0 / abs(params.slope_kappa)
-    c_sharp, _ = chareq.double_root_speed(h, params.slope_zero)
+    c_star, regime = toyfront.minimal_speed(h, params.slope_zero)
+    # a pulled minimal speed is double_root_speed's own return value
+    c_sharp = c_star if regime == "pulled" else chareq.double_root_speed(h, params.slope_zero)[0]
     c_kappa = chareq.c_kappa_curve(h, params) if h > hs else None
     c_bound = c_bound_curve(h, params.slope_kappa) if hs < h <= h_hat else None
-    c_star, regime = toyfront.minimal_speed(h, params.slope_zero)
     monotone = chareq._dkappa_margin(c_star, c_star * h, params.slope_kappa) > 0.0
     return SpeedCurveSample(
         h=h,

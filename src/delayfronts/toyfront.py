@@ -345,29 +345,38 @@ def build_profile(
     t = dt * np.arange(n + 1)
 
     tail = lambda s: _tail(s, ch, p, lam1, lam2)
-    phi0, v0 = tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1)
-    if m:
-        # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
-        phi, v = _delay_rk4(c, 1.0, -4.0, 1.0, phi0, v0, dt, n, m,
-                            tail(0.5 * np.arange(-2 * m, 1) * dt))
-        # phi - 2 solves y'' = c y' + y + y(t - ch)
-        mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
-        phi, v = phi - mode, v - mu1 * mode
-    else:
-        # phi - 2 solves y'' = c y' + 2 y: without e^{mu1 t}, B e^{(c - mu1) t}
-        B = (mu1 * (phi0 - 2.0) - v0) / (2.0 * mu1 - c)
-        decay = B * np.exp((c - mu1) * t)
-        phi, v = 2.0 + decay, (c - mu1) * decay
+    # an overflowing tail (p rounded to 1 leaves 0 * inf) is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi0, v0 = tail(0.0), _tail(0.0, ch, p, lam1, lam2, 1)
+        if m:
+            # phi' = v, v' = c v + phi - 4 + phi(t - ch), the tail as history
+            phi, v = _delay_rk4(c, 1.0, -4.0, 1.0, phi0, v0, dt, n, m,
+                                tail(0.5 * np.arange(-2 * m, 1) * dt))
+            # phi - 2 solves y'' = c y' + y + y(t - ch)
+            mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
+            phi, v = phi - mode, v - mu1 * mode
+        else:
+            # phi - 2 solves y'' = c y' + 2 y: without e^{mu1 t}, B e^{(c - mu1) t}
+            B = (mu1 * (phi0 - 2.0) - v0) / (2.0 * mu1 - c)
+            decay = B * np.exp((c - mu1) * t)
+            phi, v = 2.0 + decay, (c - mu1) * decay
 
+    # every gate below also fails on NaN
+    bad = np.count_nonzero(~np.isfinite(phi))
+    if bad:
+        raise AccuracyError(
+            f"profile is not finite at {bad} of {n + 1} nodes: lambda1 c h = "
+            f"{lam1 * ch:.4g}, and the tail's e^(lambda1 (t + ch)) overflows above ~709"
+        )
     residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)
-    if residual_max > _RESIDUAL_TOL:
+    if not residual_max <= _RESIDUAL_TOL:
         raise AccuracyError(
             f"profile residual {residual_max:.2e} above 1e-6; use a smaller grid_step"
         )
-    if phi.max() >= 3.0 or tail(0.0) >= 3.0:
+    if not (phi.max() < 3.0 and phi0 < 3.0):
         raise AccuracyError("profile exceeded the a priori bound 3")
     interior = phi[1:] if h == 0.0 else phi  # h = 0 puts the junction at t = 0
-    if np.any(interior <= 1.0):
+    if not np.all(interior > 1.0):
         raise AccuracyError(
             "structural violation: continuation dipped to 1; no glued wavefront"
         )

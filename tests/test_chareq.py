@@ -1,8 +1,10 @@
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from delayfronts import (
     DomainError,
@@ -18,6 +20,7 @@ from delayfronts import (
     roots_at_kappa,
     roots_at_zero,
 )
+from delayfronts import chareq
 from delayfronts.chareq import _critical_point, _dkappa_margin, eval_char_dz
 
 from conftest import sample_dkappa
@@ -92,6 +95,40 @@ def test_non_finite_speed_or_delay_is_domain_error(entry, value):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             _CH_ENTRIES[entry](value)
+
+
+# these raised scipy's ValueError (z^2 - c z lost the bracket's sign, or
+# c^2 overflowed) or an OverflowError from exp
+@pytest.mark.parametrize("entry,c,h", [
+    (roots_at_zero, 1e13, 1.0),
+    (roots_at_zero, 3.2e13, 0.0),
+    (roots_at_kappa, 1e14, 1e-3),
+    (roots_at_kappa, 1.8e154, 1.0),
+])
+def test_speed_above_cap_is_domain_error(entry, c, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="wave speed must lie"):
+            entry(c, h, _TOY)
+
+
+def test_every_bracketed_solve_goes_through_root(monkeypatch):
+    """scipy's brentq is called from chareq._root and nowhere else."""
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(chareq, "brentq", spy)
+    roots_at_zero(1.5, 1.0, _TOY)
+    roots_at_kappa(0.5, 1.0, _TOY)
+    double_root_speed(1.0, 1.2)
+    c_kappa_curve(1.0, _TOY)
+    minimal_speed(1.0, 1.2)
+    minimal_speed(1.0, 2.0)  # pulled: double_root_speed inside
+    assert len(callers) == 2 + 3 + 1 + 1 + 1 + 2
+    assert set(callers) == {"_root"}
 
 
 class TestEvalChar:

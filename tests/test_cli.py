@@ -350,6 +350,20 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self):
         assert main(["--config", "/nonexistent.cfg", "toy", "--k", "1.2"]) == 3
 
+    def test_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# k = 3.5\nk = 1.2\n")
+        assert main(["--config", str(cfg), "toy", "--h", "0.5"]) == 0
+        assert float(parse_kv(capsys.readouterr().out)["c_star"]) == pytest.approx(
+            0.6562, abs=5e-4)
+
+    @pytest.mark.parametrize("text", ["k 1.2\n", "k = 1.2\nlimits = yes\n"])
+    def test_malformed_entry_is_usage_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "toy", "--k", "1.2"]) == 3
+        assert capsys.readouterr().err.startswith("usage error:")
+
 
 class TestExitCodes:
     def test_seed_rejected(self, capsys):
@@ -391,6 +405,34 @@ class TestExitCodes:
 
     def test_invalid_k_is_domain_error(self, capsys):
         assert main(["toy", "--k", "3.5"]) == 1
+
+    def test_transitions_of_an_always_pulled_k_is_domain_error(self, capsys):
+        assert main(["toy", "--k", "1.7", "--transitions"]) == 1
+        assert "pushed-branch thresholds" in capsys.readouterr().err
+
+    # p rounds to 1 at these speeds: the profile was NaN and exited 0
+    @pytest.mark.parametrize("c", ["50", "100"])
+    def test_non_finite_profile_is_accuracy_error(self, tmp_path, capsys, c):
+        out = tmp_path / "out"
+        assert main(["profile", "--k", "1.2", "--h", "0.5", "--c", c,
+                     "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # these raised scipy's ValueError, numpy's MemoryError (237 TiB) and
+    # numpy's "Maximum allowed size exceeded"; all are refused before any
+    # large allocation
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--c", "1e300", "--h", "1"],
+        ["kernel", "--c", "1e-5", "--h", "1e-5"],
+        ["simulate", "--h", "0.5", "--dx", "1e-300"],
+    ])
+    def test_overflowing_input_is_domain_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--k", "1.2", *([] if argv[0] == "roots" else
+                                             ["--out", str(out)])]) == 1
+        assert capsys.readouterr().err.startswith("domain error:")
+        assert not out.exists()
 
     # these raised scipy's untyped ValueError out of a root solve
     @pytest.mark.parametrize("argv", [

@@ -137,6 +137,17 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_kernel(2.0, 1.0, toy12)  # c above the region boundary
 
+    # these raised MemoryError for psi's 3.3e9 nodes and N's 2.3e9-node
+    # e^{mu2 t} tail; the refusal comes before either is allocated
+    @pytest.mark.parametrize("kernel,c,h", [
+        (psi_kernel, 1e-3, 1e-3),
+        (N_kernel, 1e-3, 1e-3),
+        (N_kernel, 1e4, 1e-6),
+    ])
+    def test_grid_over_node_cap_refused(self, toy12, kernel, c, h):
+        with pytest.raises(DomainError, match="would exceed"):
+            kernel(c, h, toy12)
+
 
 class TestN:
     def test_no_delay_closed_form(self, toy12):
@@ -283,8 +294,18 @@ class TestApplyN:
         with pytest.raises(DomainError):
             apply_N_operator(t, np.full_like(t, 2.5), 0.5, 1.0, toy12)
 
+    def test_non_uniform_grid_refused(self, toy12):
+        t = np.linspace(0.0, 1.0, 11) ** 2
+        with pytest.raises(DomainError, match="uniform"):
+            apply_N_operator(t, np.ones_like(t), 0.5, 1.0, toy12)
+
 
 class TestFactorization:
+    def test_step_not_dividing_ch_refused(self, toy12):
+        t = np.arange(-3.0, 3.0, 0.5 / 200.5)
+        with pytest.raises(DomainError, match="divide"):
+            check_factorization(t, np.exp(0.4 * t), 0.5, 1.0, toy12)
+
     def test_exponential_eigenfunction(self, toy12):
         c, h = 0.5, 1.0
         dt = c * h / 200

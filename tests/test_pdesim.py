@@ -62,6 +62,13 @@ class TestConfigAndInit:
         cn_step(st)
         assert st.u.shape == (4,) and np.all(np.isfinite(st.u))
 
+    # dx = 1e-300 passed here and made numpy raise ValueError in init_cauchy;
+    # dt = 5e-324 raised OverflowError from round(h/dt)
+    @pytest.mark.parametrize("grid", [dict(dx=1e-300), dict(dt=5e-324)])
+    def test_grid_over_cell_cap_rejected(self, grid):
+        with pytest.raises(DomainError, match="would exceed"):
+            SimConfig(h=0.5, k=1.2, t_end=1.0, **grid)
+
     @pytest.mark.parametrize("name", ["h", "t_end", "x_min", "x_max", "dx", "dt"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_grid_rejected(self, name, value):

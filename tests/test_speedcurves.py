@@ -156,6 +156,28 @@ class TestSampleCurves:
         with pytest.raises(DomainError):
             sample_curves([1.0, 0.5], toy12)
 
+    def test_rejects_negative_delay(self, toy12):
+        with pytest.raises(DomainError, match="nonnegative"):
+            sample_curves([-0.5, 0.5], toy12)
+
+    def test_linear_speed_solved_once_per_row(self, monkeypatch):
+        # a pulled row's minimal speed is double_root_speed's own value
+        import delayfronts.speedcurves as sc
+
+        calls = []
+        real = sc.chareq.double_root_speed
+
+        def counted(h, slope):
+            calls.append(h)
+            return real(h, slope)
+
+        monkeypatch.setattr(sc.chareq, "double_root_speed", counted)
+        rows = sample_curves([0.05 * i for i in range(121)], ModelParams(1.5))
+        assert len(calls) == 121
+        pulled = [r for r in rows if r.regime == "pulled"]
+        assert len(pulled) > 100
+        assert all(r.c_sharp == r.c_star for r in pulled)
+
     def test_row_failure_is_isolated(self, toy12, monkeypatch):
         import delayfronts.speedcurves as sc
 
