@@ -200,7 +200,7 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     chi is convex on the real axis; its minimum (a Lambert W closed form)
     decides existence and, when it dips below zero, separates the two
     roots.  chi > z^2 - c z - 1 puts both below the larger root of that
-    quadratic, the upper bracket.
+    quadratic, the upper bracket.  lambda2 below 1e-14 raises DomainError.
     """
     _check_c_h(c, h)
     k = params.slope_zero
@@ -211,6 +211,8 @@ def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
     # relative margin on the upper bracket: chi(zmax) is exponentially small
     # but positive, and the bare evaluation can lose its sign to cancellation
     hi = 0.5 * (c + np.sqrt(c * c + 4.0)) * (1.0 + 1e-6) + 1e-9
+    if eval_char(1e-14, c, h, k) < 0.0:
+        raise DomainError(f"lambda2 lies below 1e-14 at c h = {c * h:.3g}")
     lam2 = _chi_root(1e-14, zmin, c, h, k)
     return RootsAtZero(_chi_root(zmin, hi, c, h, k), lam2, exists=True)
 
@@ -306,25 +308,22 @@ def h_star(slope_kappa: float) -> float:
 def c_kappa_curve(h: float, params: ModelParams) -> float:
     """Upper boundary of the three-real-roots region for h > h_star.
 
-    The zero in c of _dkappa_margin(c, c h, g'(kappa)), i.e. of
-
-        (2 + S) e^{(c^2 h - S)/2} = e c^2 h^2 |g'(kappa)|,
-        S = sqrt(c^4 h^2 + 4 c^2 h^2 + 4),
-
-    by bracketed bisection.  It agrees with the double-negative-root system
-    chi_kappa(mu) = chi_kappa'(mu) = 0 well below the 1e-10 contract.
+    There chi_kappa has a double root z < 0; with a = |g'(kappa)| = 1 and
+    y = -c h z, chi = chi' = 0 reads F(y) = a (y - 2) e^y + y/h - 2 = 0 and
+    c = sqrt(2y / (a e^y - 1/h)) / h.  F is convex (F'' = a y e^y) with
+    F(0) < 0 < F(3), so one solve on the fixed bracket [0, 3] finds its
+    only root for every finite h, and c h -> rho_hat of limit_quantities as
+    h -> inf.  As c ~ (h - h_star)^(-1/2), the rounding of y reaches it as
+    ~eps/(h/h_star - 1): the relative error is below 1e-10 from
+    h = h_star (1 + 1e-6) on, and below 2e-8 down to h_star (1 + 1e-9).
     """
     _check_h(h)
     hs = h_star(params.slope_kappa)
     if h <= hs:
         raise DomainError(f"c_kappa_curve is defined for h > h_star = {hs:.6g}")
-    G = lambda c: _dkappa_margin(c, c * h, params.slope_kappa)
-    lo, hi = 1e-9, 1.0
-    while G(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise AccuracyError("no upper bracket for the c_kappa relation")
-    return _root(G, lo, hi)
+    a = abs(params.slope_kappa)
+    y = _root(lambda y: a * (y - 2.0) * math.exp(y) + y / h - 2.0, 0.0, 3.0)
+    return math.sqrt(2.0 * y / (a * math.exp(y) - 1.0 / h)) / h
 
 
 # -- root counting on a vertical line ----------------------------------------

@@ -15,6 +15,7 @@ from delayfronts import (
     double_root_speed,
     eval_char,
     h_star,
+    limit_quantities,
     minimal_speed,
     psi_kernel,
     roots_at_kappa,
@@ -193,6 +194,11 @@ class TestRootsAtZero:
             if r.exists:
                 assert abs(eval_char(r.lambda1, c, h, 1.2)) < 1e-10
                 assert abs(eval_char(r.lambda2, c, h, 1.2)) < 1e-10
+
+    def test_lambda2_below_lower_bracket_is_domain_error(self):
+        # lambda2 ~ ln(k)/(c h) = 9.95e-15 lies below the bracket end 1e-14
+        with pytest.raises(DomainError, match="lambda2 lies below"):
+            roots_at_zero(1.0, 1e12, ModelParams.toy(1.01))
 
     def test_lambda2_decreasing_lambda1_increasing_in_c(self, toy12):
         h = 0.5
@@ -511,6 +517,32 @@ class TestCKappaCurve:
     def test_domain_error_below_threshold(self, toy12):
         with pytest.raises(DomainError):
             c_kappa_curve(0.1, toy12)
+
+    @pytest.mark.parametrize("h,rel", [
+        (h_star(-1.0) * (1.0 + 1e-9), 1e-7),
+        (h_star(-1.0) * (1.0 + 1e-6), 1e-10),
+        (0.5, 1e-10), (2.0, 1e-10), (50.0, 1e-10),
+        (1e9, 1e-10), (1e21, 1e-10), (1e300, 1e-10),
+    ])
+    def test_against_mpmath_double_root_system(self, toy12, h, rel):
+        # near h_star, c ~ (h - h_star)^(-1/2) carries the rounding of h as
+        # ~eps/(h/h_star - 1), hence the looser bound at 1e-9
+        ck = c_kappa_curve(h, toy12)
+        z = _critical_point(ck, ck * h, -1.0, -1)
+        with mpmath.workdps(50):
+            hh = mpmath.mpf(h)
+            # unknowns (z, tau = c h): c spans 1e5 to 1e-300 here
+            chi = lambda z, t: z * z - t / hh * z - 1 - mpmath.exp(-z * t)
+            dchi = lambda z, t: 2 * z - t / hh + t * mpmath.exp(-z * t)
+            z_mp, t_mp = mpmath.findroot([chi, dchi], (1.001 * z, 0.999 * ck * h))
+        assert ck == pytest.approx(float(t_mp / hh), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1.05, 1.2, 1.5, 2.5])
+    def test_large_delay_limits(self, k):
+        # c_kappa h -> rho_hat and c_sharp h -> rho as h -> inf
+        h, lq = 1e12, limit_quantities(k)
+        assert c_kappa_curve(h, ModelParams.toy(k)) * h == pytest.approx(lq.rho_hat, rel=1e-10)
+        assert double_root_speed(h, k)[0] * h == pytest.approx(lq.rho, rel=1e-10)
 
 
 class TestCountZeros:

@@ -35,6 +35,10 @@ class TestRoots:
         assert main(["roots", "--k", "1.5", "--c", "0.5", "--h", "1e-150"]) == 1
         assert "domain error" in capsys.readouterr().err
 
+    def test_lambda2_below_lower_bracket_is_domain_error(self, capsys):
+        assert main(["roots", "--k", "1.01", "--c", "1", "--h", "1e12"]) == 1
+        assert "lambda2 lies below" in capsys.readouterr().err
+
 
 class TestToy:
     def test_minimal_speed_row(self, capsys):
@@ -120,6 +124,18 @@ class TestCurves:
         lines = (tmp_path / "curves.csv").read_text().split("\n")
         assert lines[2] == "0.5,error:AccuracyError: synthetic failure,,,,,"
         assert lines[1].startswith("0,0.894427,") and lines[3].startswith("1,0.426991,")
+
+    def test_rows_past_the_delay_cap_are_error_rows(self, tmp_path):
+        # c_kappa_curve is finite for every finite h; double_root_speed refuses h > 1e20
+        argv = ["curves", "--k", "1.5", "--h-min", "0", "--h-max", "1e21",
+                "--h-step", "1e19", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = (tmp_path / "curves.csv").read_text().splitlines()[1:]
+        assert len(rows) == 101
+        hs = [float(r.split(",")[0]) for r in rows]
+        errors = [h for h, r in zip(hs, rows) if ",error:DomainError: delay must be at most" in r]
+        assert errors == [h for h in hs if h > 1e20]
+        assert len(errors) == sum(",error:" in r for r in rows) == 90
 
     def test_jobs_accepted_and_ignored(self, tmp_path):
         # rows always run in-process; --jobs only stays parseable

@@ -132,10 +132,13 @@ class TestSampleCurves:
         assert np.all(np.diff(vals) < 0)
 
     def test_bound_stays_below_region_boundary(self, toy12):
+        # near h_star at h = h_star (1 + 10^u), u = -8 ... 0; closer in, both
+        # curves carry rounding of order eps/(h/h_star - 1), more than their gap
         hs = h_star(-1.0)
-        grid = np.linspace(hs * 1.01, 0.99, 30)
+        near = hs * (1.0 + 10.0 ** np.linspace(-8.0, 0.0, 81))
+        grid = np.sort(np.concatenate([near, np.linspace(hs * 1.01, 0.99, 30)]))
         for row in sample_curves(grid, toy12):
-            assert row.c_bound < row.c_kappa
+            assert row.c_bound < row.c_kappa, row.h
 
     def test_pushed_iff_above_linear_speed(self, toy12):
         rows = sample_curves(np.linspace(0.0, 6.0, 25), toy12)
