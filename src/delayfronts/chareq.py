@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
 from .errors import AccuracyError, DomainError
 
@@ -51,14 +49,15 @@ __all__ = [
 
 # Roots of chi are solved to this x-tolerance, then Newton-polished (_chi_root).
 _XTOL = 1e-13
-_RTOL = 4 * np.finfo(float).eps
+_RTOL = float(4 * np.finfo(float).eps)  # a Python float keeps _brent's roots floats
 _NEWTON_POLISH = 3
 # roots_at_kappa refuses 0 < c h below this: |mu3| ~ 2 ln(1/(ch))/(ch), and a
-# scan of c h in 0.01-decade steps first failed at 2.3e-76, where the doubled
-# mu3 bracket overflows exp (then brentq and _critical_point's log fail).
+# scan of c h in 0.01-decade steps (c = 1, k = 1.2) first failed at 3.3e-114,
+# where the mu2 solve runs out of steps (at 2.3e-76 while the mu3 bracket
+# search doubled z itself and overflowed exp).
 _TAU_FLOOR = 1e-70
 # double_root_speed refuses delays above this: its speed falls like ln(h)/h,
-# brentq needs ~log2(h) + 52 halvings from c0 to reach it, and its default 100
+# Brent needs ~log2(h) + 52 halvings from c0 to reach it, and its 100 steps
 # ran out from h ~ 6e27 on (slopes in (1, 3)).
 _H_MAX = 1e20
 # the root finders refuse speeds above this: rounding of c tau = c^2 h in
@@ -148,9 +147,54 @@ def eval_char_dz(z, c, h, slope):
     return out[()] if out.ndim == 0 else out
 
 
+def _brent(f, a: float, b: float, args: tuple, xtol: float) -> float:
+    """Brent's method (Brent 1973, ch. 4) as scipy's C brentq, line for line, with
+    rtol = _RTOL, so its roots are scipy's to the bit.  No sign change on
+    [a, b], a NaN value of f or 100 steps without convergence raise AccuracyError.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre, *args)), float(f(xcur, *args))
+    if fpre != fpre or fcur != fcur:
+        raise AccuracyError(f"root solve: f is NaN at an end of [{xpre!r}, {xcur!r}]")
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise AccuracyError(f"root solve: no sign change on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN: a bisection
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur, *args))
+        if fcur != fcur:
+            raise AccuracyError(f"root solve: f is NaN at x = {xcur!r}")
+    raise AccuracyError(f"root solve: no convergence in 100 steps near x = {xcur!r}")
+
+
 def _root(f, a: float, b: float, args=(), xtol: float = 1e-300) -> float:
     """The root of f bracketed by [a, b], to xtol (default: the last bits)."""
-    return brentq(f, a, b, args=args, xtol=xtol, rtol=_RTOL)
+    return _brent(f, a, b, args, float(xtol))
 
 
 def _chi_root(a: float, b: float, c: float, h: float, slope: float) -> float:
@@ -167,6 +211,74 @@ def _chi_root(a: float, b: float, c: float, h: float, slope: float) -> float:
             break
         z -= step
     return z
+
+
+# Real Lambert W as scipy 1.17's lambertw computes it (Corless et al. 1996): the
+# same starts, rounded as its C++ rounds them, then Halley's iteration to 1e-8.
+def _split(x: float) -> tuple[float, float]:
+    """Dekker's halves hi + lo = x, whose pairwise products are exact."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+# W0's (3, 2) Pade approximant at 0 is z num(z)/den(z), num = N0 z^2 + N1 z + 1
+# and den = D0 z^2 + D1 z + 1; N0 and D0 come split
+_N0, _D0 = 12.85106382978723404255, 32.53191489361702127660
+_N1, _D1 = 12.34042553191489361902, 14.34042553191489361702
+(_N0H, _N0L), (_D0H, _D0L) = _split(_N0), _split(_D0)
+
+
+def _pade0(z: float) -> float:
+    """z num(z)/den(z), each quadratic as scipy's cevalpoly takes it, a0 z^2 + a1 z
+    + a2 = z fma(2z, a0, a1) + fma(-z^2, a0, a2).  Each fma is fsum((p, e, add)):
+    p = x a0 and e its rounding error, exact by Dekker's two-product."""
+    r, s = 2.0 * z, -(z * z)
+    (rh, rl), (sh, sl) = _split(r), _split(s)
+    fsum = math.fsum
+    p = r * _N0
+    num = z * fsum((p, ((rh * _N0H - p) + rh * _N0L + rl * _N0H) + rl * _N0L, _N1))
+    p = s * _N0
+    num += fsum((p, ((sh * _N0H - p) + sh * _N0L + sl * _N0H) + sl * _N0L, 1.0))
+    p = r * _D0
+    den = z * fsum((p, ((rh * _D0H - p) + rh * _D0L + rl * _D0H) + rl * _D0L, _D1))
+    p = s * _D0
+    den += fsum((p, ((sh * _D0H - p) + sh * _D0L + sl * _D0H) + sl * _D0L, 1.0))
+    return z * num / den
+
+
+def _log_re(x: float) -> float:
+    """ln x (x > 0) as glibc's complex log computes its real part."""
+    return math.log1p((x - 1.0) * (x + 1.0)) / 2.0 if 0.5 <= x < 2.0 else math.log(x)
+
+
+def _lambertw(z: float, branch: int) -> float:
+    """Real Lambert W: branch 0 for z >= 0, branch -1 for -1/e <= z < 0.  Bit for
+    bit scipy.special.lambertw(z, branch).real, but -1 (not NaN) at z = -1/e.
+    """
+    z = float(z)  # numpy scalars would make each step several times slower
+    if branch == 0:
+        if z == 0.0 or not z < math.inf:
+            return z
+        w = _pade0(z) if z < 1.5 else (L := _log_re(z)) - _log_re(L)
+    else:
+        w = math.log(-z)
+    up = w >= 0.0  # then Halley's step is arranged without e^w, which could overflow
+    for _ in range(100):
+        if up:
+            wewz = w - z * math.exp(-w)
+            den = w + 1.0 - (w + 2.0) * wewz / (2.0 * w + 2.0)
+        elif w == -1.0:  # the branch point, where C's step is 0 (or 0/0)
+            return w
+        else:
+            ew = math.exp(w)
+            wewz = w * ew - z
+            den = w * ew + ew - (w + 2.0) * wewz / (2.0 * w + 2.0)
+        wn = w - wewz / den
+        if abs(wn - w) <= 1e-8 * abs(wn):
+            return wn
+        w = wn
+    return math.nan
 
 
 def _critical_point(c: float, tau: float, s: float, branch: int) -> float | None:
@@ -190,7 +302,7 @@ def _critical_point(c: float, tau: float, s: float, branch: int) -> float | None
     elif branch == -1 and X < -1.0 / math.e:
         return None
     else:
-        w = lambertw(X, branch).real
+        w = _lambertw(X, branch)
     return 0.5 * c + w / tau
 
 
@@ -264,9 +376,13 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     if f(zpk) <= 0.0:
         # the margin is positive by rounding alone: one double root at the peak
         return RootsAtKappa(mu1, zpk, zpk, True)
-    lo = zpk
-    while f(lo) > 0.0:
-        lo = 2.0 * lo if lo < -1.0 else lo - 1.0
+    # step away from the peak by 1/tau, 2/tau, 4/tau, ...: e^{-z tau} grows by
+    # e, e^2, e^4, ... over its value at the peak, so the first negative chi
+    # comes before exp overflows
+    d = 1.0 / (c * h)
+    while f(zpk - d) > 0.0:
+        d *= 2.0
+    lo = zpk - d
     return RootsAtKappa(mu1, _chi_root(zpk, -1e-15, c, h, s), _chi_root(lo, zpk, c, h, s), True)
 
 
@@ -276,7 +392,7 @@ def double_root_speed(h: float, slope: float) -> tuple[float, float]:
     Returns (c, z_double).  The minimum of chi over z, F(c) = chi(z_min(c); c)
     with z_min the Lambert W critical point, strictly decreases in c from
     slope - 1 > 0 at c = 0 to below zero at the non-delayed speed
-    c0 = 2*sqrt(slope-1); one brentq on that bracket finds its zero.  At
+    c0 = 2*sqrt(slope-1); one Brent solve (_root) on it finds its zero.  At
     h = 0, and at delays so small that F(c0) rounds to >= 0 (0 < h < ~2e-17
     for some slopes), the speed is c0 to rounding and the closed form
     c = c0, z = c0/2 is returned.  Delays above 1e20 raise DomainError.
@@ -302,7 +418,7 @@ def h_star(slope_kappa: float) -> float:
     """
     if not slope_kappa < 0.0:
         raise DomainError("slope_kappa must be negative")
-    return float(lambertw(1.0 / (abs(slope_kappa) * np.e)).real)
+    return _lambertw(1.0 / (abs(slope_kappa) * math.e), 0)
 
 
 def c_kappa_curve(h: float, params: ModelParams) -> float:

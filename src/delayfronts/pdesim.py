@@ -22,10 +22,12 @@ checking after every step.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import chareq
 from .errors import AccuracyError, DomainError
@@ -45,6 +47,25 @@ _LEVEL = 1.0  # the tracked level, kappa/2
 # SimConfig refuses grids whose g ring and block of levels, max(h/dt, 16) + 1
 # rows of n_points floats, would hold more cells than this (400 MB)
 _MAX_CELLS = 50_000_000
+
+
+def _pt_lapack():
+    """dpttrf and dpttrs from scipy's LAPACK wrapper, loaded by path, as the
+    scipy.linalg package costs ~0.3 s to import (find_spec imports nothing);
+    scipy.linalg.lapack serves where that file is absent."""
+    linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(linalg, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            return flapack.dpttrf, flapack.dpttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    return dpttrf, dpttrs
+
+
+dpttrf, dpttrs = _pt_lapack()
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import chareq
 from .chareq import ModelParams
@@ -107,7 +106,7 @@ def minimal_speed(h: float, k: float) -> tuple[float, str]:
 
     F is convex (F'' = T^2 h^2 (e^{-qh} + k e^{-Tqh}) >= 0), positive at
     F(0) = 2T^2 + k - 1 and F(q) <= F(0) - T(1-T) q, so its one root lies in
-    (0, 2F(0)/(T(1-T))), where one brentq finds it; then
+    (0, 2F(0)/(T(1-T))), where one Brent solve (chareq._root) finds it; then
     mu1 = sqrt(1 + q + e^{-qh}) and c = q/mu1.  If chi_0 rises at T mu1,
     that zero is lambda1 and solves the selection equation: the front is
     pushed at speed c.  Otherwise it is lambda2, no speed solves the
@@ -481,12 +480,12 @@ def limit_quantities(k: float) -> LimitQuantities:
     chareq._check_k(k)
     # e^{-w}(2 + w) = a  <=>  -(2 + w) e^{-(2 + w)} = -a / e^2: the positive
     # w_plus on the W_{-1} branch, the w_minus below -2 on W0
-    w_plus = float(-2.0 - lambertw(-2.0 / (k * np.e**2), -1).real)
+    w_plus = -2.0 - chareq._lambertw(-2.0 / (k * np.e**2), -1)
     rho = math.sqrt(w_plus * (2.0 + w_plus))
     lambda_inf = math.sqrt(1.0 + 1.0 / rho**2) - 1.0 / rho
     # the positive root of mu^2 - 1 = e^{-mu r}
     mu_of = lambda r: chareq._root(lambda x: x * x - 1.0 - np.exp(-x * r), 1.0, 50.0)
-    w_minus = float(-2.0 - lambertw(2.0 / np.e**2).real)
+    w_minus = -2.0 - chareq._lambertw(2.0 / np.e**2, 0)
     rho_hat = math.sqrt(w_minus * (2.0 + w_minus))
     mu_inf, mu_hat = mu_of(rho), mu_of(rho_hat)
     # f_hat is chi at c = 0, delay product rho_hat: its minimum is closed-form

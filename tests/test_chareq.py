@@ -1,12 +1,13 @@
+import math
 import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from delayfronts import (
+    AccuracyError,
     DomainError,
     ModelParams,
     build_profile,
@@ -114,14 +115,15 @@ def test_speed_above_cap_is_domain_error(entry, c, h):
 
 
 def test_every_bracketed_solve_goes_through_root(monkeypatch):
-    """scipy's brentq is called from chareq._root and nowhere else."""
+    """chareq._brent is called from chareq._root and nowhere else."""
     callers = []
+    brent = chareq._brent
 
     def spy(*args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
-        return brentq(*args, **kwargs)
+        return brent(*args, **kwargs)
 
-    monkeypatch.setattr(chareq, "brentq", spy)
+    monkeypatch.setattr(chareq, "_brent", spy)
     roots_at_zero(1.5, 1.0, _TOY)
     roots_at_kappa(0.5, 1.0, _TOY)
     double_root_speed(1.0, 1.2)
@@ -130,6 +132,82 @@ def test_every_bracketed_solve_goes_through_root(monkeypatch):
     minimal_speed(1.0, 2.0)  # pulled: double_root_speed inside
     assert len(callers) == 2 + 3 + 1 + 1 + 1 + 2
     assert set(callers) == {"_root"}
+
+
+class TestBrent:
+    """chareq._brent, the in-package port of scipy's C brentq."""
+
+    def test_no_sign_change_is_accuracy_error(self):
+        with pytest.raises(AccuracyError, match="no sign change"):
+            chareq._root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_value_is_accuracy_error(self):
+        # finite at both ends, NaN where the first step lands
+        f = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5
+        with pytest.raises(AccuracyError, match="NaN"):
+            chareq._root(f, 0.0, 1.0)
+
+    def test_no_convergence_in_100_steps_is_accuracy_error(self):
+        # a jump from -1 to 1 at x = 1 leaves Brent bisecting: 100 halvings of
+        # [0, 1e300] end ~1e270 wide
+        f = lambda x: -1.0 if x < 1.0 else 1.0
+        with pytest.raises(AccuracyError, match="no convergence in 100 steps"):
+            chareq._root(f, 0.0, 1e300)
+
+    def test_same_roots_as_scipy_brentq(self, monkeypatch, tmp_path):
+        """Every _root call of the benchmark's sweep and point commands, bit for bit."""
+        from scipy.optimize import brentq
+
+        from delayfronts import speedcurves
+        from delayfronts.cli import main
+
+        calls = []
+        brent = chareq._brent
+
+        def oracle(f, a, b, args, xtol):
+            z = brent(f, a, b, args, xtol)
+            ref = brentq(f, a, b, args=args, xtol=xtol, rtol=chareq._RTOL, maxiter=100)
+            calls.append((a, b, z, ref))
+            assert type(z) is float and z == ref, (a, b, z, ref)
+            return z
+
+        monkeypatch.setattr(chareq, "_brent", oracle)
+        grid = np.round(np.arange(0.0, 6.0 + 1e-9, 0.05), 10)
+        for k in (1.2, 1.5):
+            speedcurves.sample_curves(grid, ModelParams(k))
+        for h in ("0", "0.5", "2", "6"):
+            assert main(["profile", "--k", "1.2", "--h", h, "--out", str(tmp_path / h)]) == 0
+        for c, h in (("0.5", "1"), ("1", "0.5"), ("0.3", "2"), ("0.2", "3")):
+            argv = ["kernel", "--k", "1.2", "--c", c, "--h", h, "--out", str(tmp_path / f"k{c}")]
+            assert main(argv) == 0
+        argv = ["simulate", "--k", "1.2", "--h", "0.5", "--snapshots", "0,20",
+                "--out", str(tmp_path / "sim")]
+        assert main(argv) == 0
+        assert len(calls) > 700  # 740 solves
+
+
+class TestLambertW:
+    """chareq._lambertw against scipy.special.lambertw, bit for bit."""
+
+    _RNG = np.random.default_rng(19)
+    _TINY = np.finfo(float).tiny
+
+    @pytest.mark.parametrize("branch,z", [
+        (0, _RNG.uniform(1e-9, 1.5, 100_000)),  # the Pade start
+        (0, 10.0 ** _RNG.uniform(-300.0, 300.0, 100_000)),
+        (0, _RNG.uniform(1.5, 10.0, 100_000)),  # log start with glibc's complex log
+        (-1, -_RNG.uniform(_TINY, 1.0 / np.e, 100_000)),
+        (-1, -(10.0 ** _RNG.uniform(np.log10(_TINY), -1.0 / np.log(10.0), 100_000))),
+    ], ids=["W0-pade", "W0-wide", "W0-log", "W-1", "W-1-wide"])
+    def test_matches_scipy(self, branch, z):
+        from scipy.special import lambertw
+
+        mine = np.array([chareq._lambertw(x, branch) for x in z.tolist()])
+        ref = lambertw(z, branch).real
+        assert np.count_nonzero(mine != ref) == 0
+
+    def test_branch_point_is_minus_one(self):
+        assert chareq._lambertw(-1.0 / np.e, -1) == -1.0
 
 
 class TestEvalChar:
@@ -211,6 +289,19 @@ class TestRootsAtZero:
 
 
 class TestRootsAtKappa:
+    @pytest.mark.parametrize("frac", [0.5, 0.9])
+    def test_mu3_bracket_near_h_star_does_not_overflow(self, toy12, frac):
+        # the bracket search once stepped from the peak z ~ -4.3e-4 to z - 1,
+        # where e^{-z c h} = exp(2983) overflows
+        h = h_star(-1.0) * (1.0 + 1e-8)
+        c = frac * c_kappa_curve(h, toy12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = roots_at_kappa(c, h, toy12)
+        assert r.in_region_Dkappa
+        assert math.isfinite(r.mu2) and math.isfinite(r.mu3) and r.mu3 < r.mu2 < 0.0
+        assert abs(eval_char(r.mu3, c, h, -1.0)) <= 1e-10
+
     def test_nondelayed_closed_form(self, toy12):
         r = roots_at_kappa(1.0, 0.0, toy12)
         assert r.mu1 == pytest.approx(2.0, abs=1e-12)

@@ -78,6 +78,28 @@ class TestConfigAndInit:
             SimConfig(**kwargs)
 
 
+def test_path_loaded_lapack_matches_scipy_linalg():
+    """pdesim's dpttrf/dpttrs, loaded from scipy's LAPACK wrapper by its path,
+    solve as scipy.linalg.lapack does, bit for bit (n = 999, a CN matrix)."""
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(19)
+    d, e, b = np.full(999, 1.0 + 2.0 * 4.0 + 0.005), np.full(998, -4.0), rng.standard_normal(999)
+    ours, ref = pdesim.dpttrf(d, e), lapack.dpttrf(d, e)
+    for x, y in zip(ours, ref):
+        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(pdesim.dpttrs(*ours[:2], b)[0], lapack.dpttrs(*ref[:2], b)[0])
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch):
+    import importlib.machinery
+
+    from scipy.linalg import lapack
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    assert pdesim._pt_lapack() == (lapack.dpttrf, lapack.dpttrs)
+
+
 class TestCnStep:
     def test_zero_equilibrium_is_stationary(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_right=0.0)
