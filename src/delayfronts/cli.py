@@ -20,6 +20,9 @@ from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
 
 
+_MAX_STEPS = 1_000_000  # of a curves grid; at ~0.16 ms a row that is ~3 min
+
+
 class UsageError(Exception):
     pass
 
@@ -117,8 +120,10 @@ def _cmd_curves(args) -> int:
     if not (np.isfinite([args.h_min, args.h_max, args.h_step]).all()
             and args.h_step > 0.0 and args.h_max >= args.h_min):
         raise UsageError("curves needs finite --h-min <= --h-max and --h-step > 0")
-    n = int(round((args.h_max - args.h_min) / args.h_step))
-    grid = [args.h_min + i * args.h_step for i in range(n + 1)]
+    steps = (args.h_max - args.h_min) / args.h_step  # inf on overflow
+    if not steps <= _MAX_STEPS:
+        raise DomainError(f"a curves grid of {steps:.3g} steps is over the cap {_MAX_STEPS:.0e}")
+    grid = [args.h_min + i * args.h_step for i in range(int(round(steps)) + 1)]
     man = _Manifest("curves", vars(args), args.out)
     samples = speedcurves.sample_curves(grid, params)
     # a failed row keeps only h; its error goes in the c_sharp cell, as in table.csv

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _LEVEL = 1.0  # the tracked level, kappa/2
+_STOP_MARGIN = 5.0  # run() stops once the level is this close to x_min
 # SimConfig refuses grids whose g ring and block of levels, max(h/dt, 16) + 1
 # rows of n_points floats, would hold more cells than this (400 MB)
 _MAX_CELLS = 50_000_000
@@ -70,13 +71,13 @@ dpttrf, dpttrs = _pt_lapack()
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Grid, delay and tracking parameters of one run.
+    """The problem, its grid and the snapshot times of one run.
 
     Defaults reproduce the reference discretization: domain [-25, 25],
     dx = 0.05, dt = 0.01, Dirichlet values 0 and 2.
     h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
-    step_location shifts the initial step interface (x < step_location -> 0,
-    else 2); snapshot_times, within [0, t_end], request copies of the field.
+    The step of the Cauchy data sits at x = 0; snapshot_times, within
+    [0, t_end], request copies of the field.
     """
 
     h: float
@@ -88,8 +89,6 @@ class SimConfig:
     dt: float = 0.01
     bc_left: float = 0.0
     bc_right: float = 2.0
-    step_location: float = 0.0
-    stop_margin: float = 5.0
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -158,13 +157,14 @@ class SimResult:
 
 
 def init_cauchy(config: SimConfig) -> SimState:
-    """Step-function Cauchy data held constant over the delay interval.
+    """Step-function Cauchy data (0 for x < 0, else 2) held constant over
+    the delay interval.
 
     Every row of the g(u) ring holds the source of the initial data, and the
     state clock starts at 0.
     """
     x = config.x_min + config.dx * np.arange(config.n_points)
-    u = np.where(x < config.step_location, 0.0, 2.0)
+    u = np.where(x < 0.0, 0.0, 2.0)
     # 0 and 2 are equilibria, fixed points of g, so this is also g(u); the
     # end columns of the ring are never read
     history = np.tile(u, (max(config.delay_steps, 1) + 1, 1))
@@ -248,12 +248,6 @@ def cn_step(state: SimState, out: np.ndarray | None = None,
     return state
 
 
-def _store_g(state: SimState, levels: np.ndarray, first: int) -> None:
-    """g of consecutive levels first, first + 1, ... into their ring rows."""
-    g = state.history
-    g[_ring(g, first, len(levels))] = birth_rate(levels, state.config.k)
-
-
 def _level_crossings(x: np.ndarray, u: np.ndarray, level: float):
     """Leftmost linear-interpolated crossing of u = level in each row of u,
     and whether the row has one (where it has none, the position is junk)."""
@@ -274,9 +268,10 @@ def run(config: SimConfig) -> SimResult:
     """Integrate to t_end or until the tracked level nears the left boundary.
 
     The trajectory of the level crossing is recorded every step; the run
-    stops early once the crossing comes within stop_margin of x_min so the
-    Dirichlet wall cannot contaminate the speed fit.  Snapshots are taken at
-    the requested times (rounded to the step grid) up to t_final.
+    stops early once the crossing comes within _STOP_MARGIN of x_min so the
+    Dirichlet wall cannot contaminate the speed fit on its trailing half.
+    Snapshots are taken at the requested times (rounded to the step grid)
+    up to t_final.
 
     Only the right-hand side and the solve run once per step (cn_step).  The
     levels of up to _BLOCK steps are kept, and the rest is done on the block:
@@ -289,6 +284,7 @@ def run(config: SimConfig) -> SimResult:
     result equals that of checking after each step.
     """
     state = init_cauchy(config)
+    g = state.history
     dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
     snap_steps = {int(round(ts / config.dt)) for ts in config.snapshot_times}
     snapshots = [(0.0, state.u)] if 0 in snap_steps else []
@@ -307,14 +303,14 @@ def run(config: SimConfig) -> SimResult:
                 part = block[j0:j0 + chunk]
                 for row, src in zip(part, _delayed_sources(state, n0 + j0, sources[:len(part)])):
                     cn_step(state, out=row, source=src)
-                _store_g(state, part, n0 + j0 + 1)
+                g[_ring(g, n0 + j0 + 1, len(part))] = birth_rate(part, config.k)
         lo, hi = float(block.min()), float(block.max())
         if np.isfinite(lo) and np.isfinite(hi):
             bad = len(block)
         else:
             bad = int(np.argmin(np.isfinite(block).all(axis=1)))
         xl, crossed = _level_crossings(state.x, block[:bad], _LEVEL)
-        hit = np.flatnonzero(crossed & (xl <= config.x_min + config.stop_margin))
+        hit = np.flatnonzero(crossed & (xl <= config.x_min + _STOP_MARGIN))
         if not len(hit) and bad < len(block):
             raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
         done = int(hit[0]) + 1 if len(hit) else len(block)
@@ -332,7 +328,7 @@ def run(config: SimConfig) -> SimResult:
             break
     traj = (np.column_stack([np.concatenate(times), np.concatenate(positions)])
             if times else np.empty((0, 2)))
-    c_ns, residual, window = _fit(traj, 0.5)
+    c_ns, residual, window = _fit(traj)
     return SimResult(
         snapshots=snapshots,
         level_trajectory=traj,
@@ -345,10 +341,8 @@ def run(config: SimConfig) -> SimResult:
     )
 
 
-def _fit(traj: np.ndarray, window_fraction: float):
-    if not 0.0 < window_fraction < 1.0:
-        raise DomainError("window_fraction must lie in (0, 1)")
-    i0 = int(len(traj) * (1.0 - window_fraction))
+def _fit(traj: np.ndarray):
+    i0 = len(traj) // 2
     if len(traj) - i0 < 100:
         raise DomainError(f"insufficient data: the fit window holds {len(traj) - i0} of "
                           f"{len(traj)} trajectory points, need >= 100")
@@ -359,14 +353,12 @@ def _fit(traj: np.ndarray, window_fraction: float):
     return abs(float(coef[0])), rms, (float(tt[0]), float(tt[-1]))
 
 
-def estimate_speed(
-    level_trajectory: np.ndarray, window_fraction: float = 0.5
-) -> tuple[float, float]:
-    """Least-squares speed magnitude over the trailing window of a trajectory.
+def estimate_speed(level_trajectory: np.ndarray) -> tuple[float, float]:
+    """Least-squares speed magnitude over the trailing half of a trajectory, as run() fits.
 
     Returns (c_ns, fit_residual) where the residual is the RMS deviation
     from the fitted line.
     """
     traj = np.asarray(level_trajectory, dtype=float)
-    c_ns, rms, _ = _fit(traj, window_fraction)
+    c_ns, rms, _ = _fit(traj)
     return c_ns, rms

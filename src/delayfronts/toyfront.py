@@ -367,7 +367,7 @@ def build_profile(
             f"profile is not finite at {bad} of {n + 1} nodes: lambda1 c h = "
             f"{lam1 * ch:.4g}, and the tail's e^(lambda1 (t + ch)) overflows above ~709"
         )
-    residual_max = _profile_residual(t, phi, c, h, k, m, dt, tail)
+    residual_max = _profile_residual(t, phi, c, h, m, dt, tail)
     if not residual_max <= _RESIDUAL_TOL:
         raise AccuracyError(
             f"profile residual {residual_max:.2e} above 1e-6; use a smaller grid_step"
@@ -400,7 +400,7 @@ def build_profile(
     )
 
 
-def _profile_residual(t, phi, c, h, k, m, dt, tail):
+def _profile_residual(t, phi, c, h, m, dt, tail):
     """Worst scaled residual of the profile equation by five-point stencils."""
     n = len(t) - 1
     ch = c * h
@@ -421,11 +421,11 @@ def _profile_residual(t, phi, c, h, k, m, dt, tail):
     return float(np.max(np.abs(r) / (1.0 + np.abs(phi[idx]))))
 
 
-def fit_tail_exponent(profile: WaveProfile, rel_floor: float = 1e-9) -> float:
+def fit_tail_exponent(profile: WaveProfile) -> float:
     """Least-squares decay exponent of log phi over a far-tail window.
 
     The window is pushed left until the subdominant tail mode is below
-    rel_floor relative, so the fitted slope isolates the dominant exponent:
+    1e-9 relative, so the fitted slope isolates the dominant exponent:
     lambda1 for the pushed profile (p = 0), lambda2 above the minimal speed.
     """
     ch = profile.c * profile.h
@@ -433,8 +433,8 @@ def fit_tail_exponent(profile: WaveProfile, rel_floor: float = 1e-9) -> float:
     if p == 0.0:
         left = -ch - 10.0
     else:
-        # (1-p)/p * e^{(lam1-lam2) s} <= rel_floor at the window's right edge
-        s_hi = min(0.0, np.log(rel_floor * p / max(1.0 - p, _EPS)) / (lam1 - lam2))
+        # (1-p)/p * e^{(lam1-lam2) s} <= 1e-9 at the window's right edge
+        s_hi = min(0.0, np.log(1e-9 * p / max(1.0 - p, _EPS)) / (lam1 - lam2))
         left = s_hi - ch - 10.0
     ts = np.linspace(left, left + 10.0, 200)
     ys = np.log(profile.tail(ts))

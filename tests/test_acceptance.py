@@ -198,7 +198,7 @@ def test_10_front_shape_comparison():
     h, k = 0.5, 1.2
     c_star, _ = minimal_speed(h, k)
     prof = build_profile(c_star, h, k)
-    res = run(SimConfig(h=h, k=k, t_end=24.0, stop_margin=0.0, snapshot_times=(24.0,)))
+    res = run(SimConfig(h=h, k=k, t_end=24.0, snapshot_times=(24.0,)))
     t_late, x_front = res.level_trajectory[-1]
     t_snap, u = res.snapshots[-1]
     assert t_snap == t_late

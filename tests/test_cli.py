@@ -483,6 +483,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
 
+    # a 1e-300 step built a list of 6e300 rows until memory ran out; a step
+    # of 5e-324 made the row count infinite and raised OverflowError
+    @pytest.mark.parametrize("h_step", ["1e-300", "5e-324"])
+    def test_curves_grid_over_the_step_cap_is_domain_error(self, tmp_path, capsys, h_step):
+        out = tmp_path / "out"
+        assert main(["curves", "--k", "1.2", "--h-step", h_step, "--out", str(out)]) == 1
+        assert "steps is over the cap" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy_signal(self):

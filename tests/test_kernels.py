@@ -314,14 +314,15 @@ class TestFactorization:
         assert res < 5e-5
 
     def test_second_order_in_the_step(self, toy12):
-        c, h = 0.5, 1.0
-        residuals = []
-        for m in (100, 200):
-            dt = c * h / m
-            t = np.arange(-4.0, 4.0, dt)
-            residuals.append(check_factorization(t, np.sin(t), c, h, toy12))
-        ratio = residuals[0] / residuals[1]
-        assert 3.0 < ratio < 5.0
+        # steps c h/100 and c h/200; at h = 0 (no history integral, m = 0)
+        # c h fixes no step, so 0.01 and 0.005
+        for c, h, dt0 in ((0.5, 1.0, 0.005), (0.7, 0.0, 0.01)):
+            residuals = []
+            for dt in (dt0, dt0 / 2):
+                t = np.arange(-4.0, 4.0, dt)
+                residuals.append(check_factorization(t, np.sin(t), c, h, toy12))
+            ratio = residuals[0] / residuals[1]
+            assert 3.0 < ratio < 5.0, h
 
     def test_constant_function(self, toy12):
         # derivatives vanish, but the history-integral quadrature error

@@ -189,12 +189,6 @@ class TestEstimateSpeed:
         with pytest.raises(DomainError, match="insufficient"):
             estimate_speed(traj)
 
-    def test_window_fraction_domain(self):
-        t = np.linspace(0.0, 10.0, 500)
-        traj = np.column_stack([t, -t])
-        with pytest.raises(DomainError):
-            estimate_speed(traj, window_fraction=1.5)
-
 
 class TestRun:
     def test_front_speed_and_bounds_h05(self):
@@ -238,17 +232,14 @@ class TestRun:
         assert t0 == round(t0 / cfg.dt) * cfg.dt
 
     def test_translation_invariance(self):
-        # shifting the initial interface by whole cells translates the
-        # discrete dynamics exactly until boundary effects differ
-        base = run(SimConfig(h=1.0, k=1.2, t_end=15.0, stop_margin=0.0))
-        shift = 20  # cells = 1.0 length unit
-        moved = run(
-            SimConfig(h=1.0, k=1.2, t_end=15.0, stop_margin=0.0, step_location=-1.0)
-        )
+        # moving the domain by whole cells past the step at x = 0 leaves the
+        # discrete dynamics unchanged until boundary effects differ
+        base = run(SimConfig(h=1.0, k=1.2, t_end=15.0))
+        moved = run(SimConfig(h=1.0, k=1.2, t_end=15.0, x_min=-24.0, x_max=26.0))  # 20 cells
         nb, nm = len(base.level_trajectory), len(moved.level_trajectory)
         n = min(nb, nm)
-        dxs = moved.level_trajectory[:n, 1] - base.level_trajectory[:n, 1]
-        np.testing.assert_allclose(dxs, -1.0, atol=1e-10)
+        np.testing.assert_allclose(moved.level_trajectory[:n], base.level_trajectory[:n],
+                                   rtol=0.0, atol=1e-10)
         assert moved.c_ns == pytest.approx(base.c_ns, abs=1e-10)
 
     def test_scheme_field_convergence_second_order(self):
@@ -258,7 +249,7 @@ class TestRun:
             f = 2**lev
             cfg = SimConfig(
                 h=1.0, k=1.2, t_end=4.0, dx=0.05 / f, dt=0.01 / f,
-                bc_left=0.0, bc_right=0.1, stop_margin=0.0,
+                bc_left=0.0, bc_right=0.1,
             )
             st = init_cauchy(cfg)
             # tanh saturates to the boundary values within 1e-20 at |x| = 25
@@ -308,7 +299,7 @@ def _reference_run(cfg: SimConfig):
         xl = _crossing(x, u, pdesim._LEVEL)
         if xl is not None:
             traj.append((st.t, xl))
-            if xl <= cfg.x_min + cfg.stop_margin:
+            if xl <= cfg.x_min + pdesim._STOP_MARGIN:
                 break
     return np.array(traj).reshape(-1, 2), snapshots, u_min, u_max, st.t
 
@@ -348,7 +339,7 @@ class TestBlockedRun:
         dict(h=0.07, t_end=60.0),
         dict(h=0.5, t_end=60.0, snapshot_times=(0.0, 20.0)),
         dict(h=1.37, t_end=100.0, snapshot_times=(10.0, 95.0)),
-        dict(h=2.0, t_end=30.03, stop_margin=0.0),
+        dict(h=2.0, t_end=30.03),
     ])
     def test_run_equals_a_check_after_every_step(self, kwargs):
         cfg = SimConfig(k=1.2, **kwargs)

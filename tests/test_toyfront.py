@@ -439,6 +439,14 @@ class TestBuildProfile:
         with pytest.raises(DomainError, match="below"):
             build_profile(c, h, 1.2, grid_step=grid_step)
 
+    # steps just above the floor whose round-off still fails the 1e-6 gate
+    # (residuals 1.5e-5 and 2.1e-6)
+    @pytest.mark.parametrize("h,grid_step", [(0.0, 6e-6), (2e-4, 1.45e-5)])
+    def test_residual_above_tolerance_refused(self, h, grid_step):
+        c, _ = minimal_speed(h, 1.2)
+        with pytest.raises(AccuracyError, match="residual"):
+            build_profile(c, h, 1.2, t_max=0.5, grid_step=grid_step)
+
     @pytest.mark.parametrize("h", [0.0, 0.5])
     def test_t_max_ends_the_window(self, h):
         # the window stops at the first node past t_max, on the same nodes
