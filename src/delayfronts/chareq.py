@@ -52,9 +52,9 @@ _XTOL = 1e-13
 _RTOL = float(4 * np.finfo(float).eps)  # a Python float keeps _brent's roots floats
 _NEWTON_POLISH = 3
 # roots_at_kappa refuses 0 < c h below this: |mu3| ~ 2 ln(1/(ch))/(ch), and a
-# scan of c h in 0.01-decade steps (c = 1, k = 1.2) first failed at 3.3e-114,
-# where the mu2 solve runs out of steps (at 2.3e-76 while the mu3 bracket
-# search doubled z itself and overflowed exp).
+# scan of c h in 0.01-decade steps down from 1e-23 (c = 1e-6, 1 and 10,
+# k = 1.2) first failed at 1.5e-151, where the mu3 bracket search overflows
+# exp; the floor keeps a margin of 80 decades.
 _TAU_FLOOR = 1e-70
 # double_root_speed refuses delays above this: its speed falls like ln(h)/h,
 # Brent needs ~log2(h) + 52 halvings from c0 to reach it, and its 100 steps
@@ -346,10 +346,13 @@ def _dkappa_margin(c: float, tau: float, s: float) -> float:
     S = 2 sqrt(1 + tau^2 (1 + c^2/4)); as w e^w falls on w <= -1, iff
     s tau^2/2 e^{-c tau/2} > w* e^{w*}, which fails too without a peak or
     with one at z >= 0.  Scaled: (2 + S) e^{(c tau - S)/2} > e |s| tau^2,
-    finite for all tau >= 0 and 4/e (inside) at tau = 0.
+    finite for all tau >= 0 and 4/e (inside) at tau = 0.  The exponent is
+    taken as c tau - S = -4 (1 + tau^2)/(c tau + S), which does not cancel
+    where c tau is large (near h_star).
     """
     S = 2.0 * math.sqrt(1.0 + tau * tau * (1.0 + 0.25 * c * c))
-    return (2.0 + S) * math.exp(0.5 * (c * tau - S)) - math.e * abs(s) * tau * tau
+    return ((2.0 + S) * math.exp(-2.0 * (1.0 + tau * tau) / (c * tau + S))
+            - math.e * abs(s) * tau * tau)
 
 
 def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
@@ -383,7 +386,18 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
     while f(zpk - d) > 0.0:
         d *= 2.0
     lo = zpk - d
-    return RootsAtKappa(mu1, _chi_root(zpk, -1e-15, c, h, s), _chi_root(lo, zpk, c, h, s), True)
+    # chi <= z^2 - c z - 1 - |s| on z < 0, so mu2 <= q, that quadratic's
+    # negative root; bracketing from q keeps Brent's steps few when zpk lies
+    # decades further left (tiny c h)
+    q = 0.5 * (c - math.sqrt(c * c + 4.0 * (1.0 + abs(s))))
+    if f(q) >= 0.0:
+        mu2 = _chi_root(q, -1e-15, c, h, s)
+    else:
+        a = 2.0 * q
+        while a > zpk and f(a) <= 0.0:
+            a *= 2.0
+        mu2 = _chi_root(max(a, zpk), q, c, h, s)
+    return RootsAtKappa(mu1, mu2, _chi_root(lo, zpk, c, h, s), True)
 
 
 def double_root_speed(h: float, slope: float) -> tuple[float, float]:

@@ -59,6 +59,78 @@ def _print_kv(pairs) -> None:
         print(f"{key}={_fmt(val)}")
 
 
+# A float column is rendered by array operations into _CELL bytes a cell:
+# sign, "0.000", d0 . d1 . d2 . d3 . d4 . d5 and "e+XX".  Bytes a cell does
+# not use are NUL, deleted once the file is assembled.
+_CELL = 21
+_ROWS = 4096  # rows assembled at a time
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact in binary64
+_DIGITS3 = np.array([b"%03d" % i for i in range(1000)]).view(np.uint8).reshape(1000, 3).T.copy()
+_TRAILING_ZEROS3 = np.array([3 - len((b"%03d" % i).rstrip(b"0")) for i in range(1000)], np.int8)
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_SIX = np.arange(6, dtype=np.int8)[:, None]
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """a 10^(5 - e) for |5 - e| <= 22: one correctly rounded product or quotient."""
+    k = 5 - e
+    p = _POW10.take(np.abs(k))
+    m = a / p
+    return np.multiply(a, p, out=m, where=k >= 0)
+
+
+def _float_cells(col: np.ndarray) -> np.ndarray:
+    """The cells "{:.6g}".format(v) of a float column, as (_CELL, n) NUL-padded bytes.
+
+    For 1e-16 <= |x| < 1e27, m = |x| 10^(5 - e) with 10^e <= |x| < 10^(e + 1)
+    is one correctly rounded operation on exact numbers, so within 5.9e-11 of
+    its exact value: unless that lies within 1e-8 of a tie, rounding m to an
+    integer gives the six digits of Python's correctly rounded formatting.
+    Near-ties, NaN, infinities and |x| outside that range are formatted by
+    Python one at a time; zeros get the digits 000000.
+    """
+    x = np.asarray(col, dtype=np.float64)
+    a = np.abs(x)
+    scalable = (a >= 1e-16) & (a < 1e27)  # False for NaN
+    s = np.where(scalable, a, 1.0)
+    e = np.floor(np.log10(s)).astype(np.int32)
+    m = _scaled(s, e)
+    off = np.flatnonzero((m < 1e5) | (m >= 1e6))  # log10 rounded across a power of 10
+    if off.size:
+        e[off] += np.where(m[off] < 1e5, -1, 1).astype(np.int32)
+        m[off] = _scaled(s[off], e[off])
+    n = np.rint(m).astype(np.int32)
+    carry = n == 1_000_000
+    n[carry] = 100_000
+    e += carry
+    zero = a == 0.0
+    n[zero] = 0  # s = 1 gave every unscalable cell e = 0
+    slow = np.flatnonzero(~zero & (~scalable | (np.abs(m - np.floor(m) - 0.5) < 1e-8)))
+    hi, lo = np.divmod(n, 1000)
+    # the index of the last nonzero digit (-1 for zero)
+    last = 5 - np.where(lo == 0, 3 + _TRAILING_ZEROS3[hi], _TRAILING_ZEROS3[lo])
+    sci = (e < -4) | (e >= 6)
+    point = np.where(sci, 0, e).astype(np.int8)  # the digit the point follows
+    out = np.zeros((_CELL, x.size), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    out[1:6] = (np.arange(5)[:, None] < np.where(point < 0, 1 - point, 0)) * _PREFIX
+    out[6:12:2] = _DIGITS3.take(hi, axis=1)
+    out[12:17:2] = _DIGITS3.take(lo, axis=1)
+    out[6:17:2] *= _SIX <= np.maximum(last, point)  # trailing zeros after the point go
+    out[7:17:2] = (_SIX[:5] == point) & (last > point)  # and a bare point
+    out[7:17:2] *= np.uint8(ord("."))
+    ae = np.abs(e).astype(np.uint8)
+    out[17] = ord("e")
+    out[18] = np.where(e < 0, ord("-"), ord("+"))
+    out[19] = ae // 10 + ord("0")
+    out[20] = ae % 10 + ord("0")
+    out[17:21] *= sci
+    if slow.size:
+        text = ["{:.6g}".format(v).encode() for v in x[slow].tolist()]
+        out[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
+    return out
+
+
 class _Manifest:
     """Collects outputs of one command and lands manifest.json at the end."""
 
@@ -76,16 +148,37 @@ class _Manifest:
     def write_csv(self, name: str, header: str, *columns) -> None:
         """Write equal-length columns as CSV rows under a header line.
 
-        Float arrays get six significant digits in bulk; other columns
-        (which may mix floats, strings and None) go cell by cell through _fmt.
+        A float array column is rendered by array arithmetic (_float_cells):
+        each value scaled by an exact power of ten and rounded to six digits,
+        which gives Python's correctly rounded digits, so the bytes are those
+        _fmt gives each cell.  Cells the arithmetic cannot decide exactly
+        (within 1e-8 of a rounding tie, NaN, infinities, |x| outside
+        [1e-16, 1e27)) are formatted by Python.  Other columns (which may mix
+        floats, strings and None) go cell by cell through _fmt.  For each
+        _ROWS rows, every column becomes a block of NUL-padded cells; the
+        blocks are stacked between rows of separators, transposed into rows
+        once, and the pads deleted.  Row chunks keep every temporary small.
         """
-        cells = []
+        blocks = []
         for col in columns:
             if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-                cells.append(map("{:.6g}".format, col.tolist()))
+                blocks.append(col)
             else:
-                cells.append(map(_fmt, col))
-        self.write_text(name, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+                cells = np.array([_fmt(v).encode() for v in col], dtype=bytes)
+                blocks.append(cells.view(np.uint8).reshape(len(cells), cells.itemsize).T)
+        seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+        with open(self.dir / name, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            for i in range(0, blocks[0].shape[-1], _ROWS):
+                stack = []
+                for block, sep in zip(blocks, seps):
+                    if block.ndim == 1:
+                        cells = _float_cells(block[i:i + _ROWS])
+                    else:
+                        cells = block[:, i:i + _ROWS]
+                    stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
+                fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
+        self.outputs.append(name)
 
     def finalize(self) -> None:
         doc = {

@@ -392,6 +392,18 @@ class TestRootsAtKappa:
                     assert abs(chi(mpmath.mpf(z), s)) < 1e-10, (c, h, z)
                     assert abs(z - exact) < 1e-10 * max(1.0, abs(z)), (c, h, z)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 10.0])
+    def test_mu2_at_tiny_delay_product(self, toy12, c):
+        # zpk ~ -2 ln(1/(ch))/(ch) lies tens of decades left of mu2 ~ q, the
+        # negative root of z^2 - c z - 2; a bracket from zpk ran out of steps
+        q = 0.5 * (c - math.sqrt(c * c + 8.0))
+        for tau in [*10.0 ** np.arange(-23.0, -70.0, -3.0), chareq._TAU_FLOOR * (1.0 + 1e-12)]:
+            r = roots_at_kappa(c, tau / c, toy12)
+            assert r.in_region_Dkappa
+            assert r.mu2 == pytest.approx(q, rel=1e-14), tau
+            assert r.mu3 < r.mu2 < 0.0 < r.mu1
+            assert abs(eval_char(r.mu2, c, tau / c, -1.0)) < 1e-10
+
     def test_underflow_small_delay_is_inside(self, toy12):
         c, h = 2000.0, 1e-3
         r = roots_at_kappa(c, h, toy12)
@@ -423,6 +435,30 @@ class TestDkappaMargin:
             ck = c_kappa_curve(h, toy12)
             assert _dkappa_margin(ck * (1 - 1e-9), ck * (1 - 1e-9) * h, -1.0) > 0.0
             assert _dkappa_margin(ck * (1 + 1e-9), ck * (1 + 1e-9) * h, -1.0) < 0.0
+
+    @staticmethod
+    def mp_inside(c, h, s):
+        """D_kappa membership at 60 digits: chi has a peak left of 0 above 0."""
+        with mpmath.workdps(60):
+            c, h, s = mpmath.mpf(c), mpmath.mpf(h), mpmath.mpf(s)
+            tau = c * h
+            X = s * tau * tau / 2 * mpmath.exp(-c * tau / 2)
+            if X < -1 / mpmath.e:
+                return False
+            z = c / 2 + mpmath.lambertw(X, -1).real / tau
+            return bool(z < 0 and z * z - c * z - 1 + s * mpmath.exp(-z * tau) > 0)
+
+    def test_sign_near_h_star_matches_mpmath(self, toy12):
+        # c tau is ~3e8 at h_star (1 + 1e-9); the exponent c tau - S once
+        # cancelled there and the margin lost its sign both ways
+        for u in range(-9, 2):
+            h = h_star(-1.0) * (1.0 + 10.0**u)
+            ck = c_kappa_curve(h, toy12)
+            for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0):
+                c = f * ck
+                inside = _dkappa_margin(c, c * h, -1.0) > 0.0
+                assert inside == self.mp_inside(c, h, -1.0), (u, f)
+                assert roots_at_kappa(c, h, toy12).in_region_Dkappa == inside
 
 
 class TestCriticalPoint:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,13 @@ class TestRoots:
     def test_lambda2_below_lower_bracket_is_domain_error(self, capsys):
         assert main(["roots", "--k", "1.01", "--c", "1", "--h", "1e12"]) == 1
         assert "lambda2 lies below" in capsys.readouterr().err
+
+    def test_small_speed_tiny_delay_solves_mu2(self, capsys):
+        # c h = 1e-18: mu2 was bracketed from the peak near -1e20 and ran out of steps
+        assert main(["roots", "--k", "1.2", "--c", "1e-6", "--h", "1e-12"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert float(kv["mu2"]) == pytest.approx(-1.41421, abs=1e-5)
+        assert kv["in_region_Dkappa"] == "true"
 
 
 class TestToy:
@@ -193,6 +201,79 @@ class TestWriteCsv:
                       (2.0 / 3.0, None))
         text = (tmp_path / "mixed.csv").read_text()
         assert text == "h,v,w\n0.5,0.123457,0.666667\n1,error:E: m,\n"
+
+
+class TestFloatColumns:
+    """A float column written by write_csv, byte for byte "{:.6g}" of each cell."""
+
+    @staticmethod
+    def check(tmp_path, x):
+        x = np.asarray(x, dtype=np.float64)
+        _Manifest("test", {}, str(tmp_path)).write_csv("x.csv", "x", x)
+        got = (tmp_path / "x.csv").read_text().split("\n")
+        want = ["x", *map("{:.6g}".format, x.tolist()), ""]
+        bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert len(got) == len(want) and not bad, [(x[i - 1], got[i]) for i in bad[:5]]
+
+    def test_random_bit_patterns(self, tmp_path):
+        # both signs, subnormals, infinities and NaNs (~500 each) included
+        bits = np.random.default_rng(21).integers(0, 2**64, 10**6, dtype=np.uint64)
+        x = np.concatenate([bits.view(np.float64), [np.nan, -np.nan, 4.9e-322, -2.2e-308]])
+        self.check(tmp_path, x)
+
+    def test_log_uniform(self, tmp_path):
+        rng = np.random.default_rng(22)
+        self.check(tmp_path, rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-20, 20, 10**6))
+
+    def test_ties_at_the_sixth_digit(self, tmp_path):
+        n = np.arange(10**5, 10**6, dtype=np.float64)
+        self.check(tmp_path, n + 0.5)
+        self.check(tmp_path, np.arange(1000005, 10**7, 10, dtype=np.float64))
+        m = np.arange(10**4, 10**5, dtype=np.float64)
+        self.check(tmp_path, np.concatenate([m + 0.25, m + 0.75, -(m + 0.75) / 2**10]))
+
+    def test_carries_and_special_values(self, tmp_path):
+        self.check(tmp_path, [
+            9.999995e-5, 9.9999949e-5, 9.9999951e-5, 999999.5, 999999.49999, 99999.95,
+            0.0099999951, 9999995.0, 1e-5, 1e-4, 1e5, 1e6, 1e-16, 9.99999e26, 1e27,
+            0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308,
+        ])
+
+
+class TestCsvBytes:
+    """Every CLI CSV equals the per-cell _fmt rendering of the same columns."""
+
+    POINT = ([["profile", "--k", "1.2", "--h", h] for h in ("0", "0.5", "2", "6")]
+             + [["kernel", "--k", "1.2", "--c", c, "--h", h]
+                for c, h in (("0.5", "1"), ("1", "0.5"), ("0.3", "2"), ("0.2", "3"))]
+             + [["simulate", "--k", "1.2", "--h", "0.5", "--snapshots", "0,20"]])
+
+    def test_point_commands(self, tmp_path, monkeypatch):
+        expected = {}
+        write_csv = _Manifest.write_csv
+
+        def with_oracle(self, name, header, *columns):
+            rows = zip(*(map(_fmt, col) for col in columns))
+            expected[self.dir / name] = "\n".join([header, *map(",".join, rows)]) + "\n"
+            write_csv(self, name, header, *columns)
+
+        monkeypatch.setattr(_Manifest, "write_csv", with_oracle)
+        for i, argv in enumerate(self.POINT):
+            assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+        assert len(expected) == 19
+        for path, text in expected.items():
+            assert path.read_bytes() == text.encode(), path.name
+
+    @pytest.mark.parametrize("argv, name, sha256", [
+        (["curves", "--k", "1.2"], "curves.csv",
+         "ecbdabbff78b5d49805f7013193cc34ab6e4b840f6fec62d67a1a2c5b0361327"),
+        (["table", "--k", "1.2", "--rows", "0.5,2"], "table.csv",
+         "0ad37cff0bac3e48f6a8ad942f7d084b868746524c6ff8b0a0854138e5b6e185"),
+    ])
+    def test_mixed_columns_keep_their_bytes(self, tmp_path, argv, name, sha256):
+        # digests of the files as the per-cell string-joining writer wrote them
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
 
 
 class TestProfileKernelSimulate:
