@@ -13,17 +13,19 @@ Dirichlet terms 2r bc at its ends, comes a chunk of steps at a time.  The
 front is the leftmost crossing of u = 1 = kappa/2, its speed fitted on the
 trailing half of the trajectory.
 
-run() is blocked in time: only the right-hand side and the solve are done
-step by step.  The delayed sources, g of the new levels (each level still
-evaluated once), the finiteness check, the extrema and the level crossings
-are done in bulk on blocks of up to 16 levels, with the same results as
-checking after every step.
+One loop, _steps, takes the steps for run() and cn_step() alike: per
+step only the right-hand side and the solve.  run() is blocked in time and
+calls it once per chunk of steps.  The delayed sources, g of the new levels
+(each level still evaluated once), the finiteness check, the extrema and
+the level crossings are done in bulk on blocks of up to 16 levels, with the
+same results as checking after every step.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -198,18 +200,37 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> np.ndarray
     if m >= 1:
         np.add(g[_ring(g, first - m, count), 1:-1], g[_ring(g, first - m + 1, count), 1:-1],
                out=out)
-        out *= 0.5
+        out *= 0.5 * cfg.dt  # the bits of * 0.5, then * dt: halving is exact
     else:
         np.subtract(1.5 * g[_ring(g, first, count), 1:-1],
                     0.5 * g[_ring(g, first - 1, count), 1:-1], out=out)
-    out *= cfg.dt
+        out *= cfg.dt
     out[:, 0] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
     out[:, -1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
     return out
 
 
-def cn_step(state: SimState, out: np.ndarray | None = None,
-            source: np.ndarray | None = None) -> SimState:
+def _steps(u: np.ndarray, levels: np.ndarray, sources: np.ndarray,
+           factor: tuple[np.ndarray, np.ndarray]) -> None:
+    """Crank-Nicolson steps from the level u through the rows of levels, the
+    step into row j on sources[j], its right-hand side but 2 u^n.
+
+    A + B = 2I on the interior, so one pttrs solve on init_cauchy's factors
+    of A gives u^{n+1} + u^n = A^{-1}(2 u^n + source): the sum is solved for
+    in place in the new row's interior, and u^n is subtracted.  The end
+    columns of levels are not written; they must hold the Dirichlet values.
+    """
+    d, e = factor
+    prev = u[1:-1]
+    for b, source in zip(levels[:, 1:-1], sources):
+        np.multiply(prev, 2.0, out=b)
+        b += source
+        dpttrs(d, e, b, overwrite_b=True)
+        b -= prev
+        prev = b
+
+
+def cn_step(state: SimState) -> SimState:
     """Advance one Crank-Nicolson step.
 
     Diffusion and the linear decay are averaged across the step; the delayed
@@ -217,51 +238,52 @@ def cn_step(state: SimState, out: np.ndarray | None = None,
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
-    A + B = 2I on the interior, so one pttrs solve on init_cauchy's factors
-    of A gives u^{n+1} + u^n = A^{-1}(2 u^n + source); the end nodes get
-    their Dirichlet values exactly.  g of the new level is evaluated once
-    and written over the ring row no longer needed.
-
-    run() passes out, a contiguous row of n_points floats other than
-    state.u, and source, this step's row of _delayed_sources (the whole
-    right-hand side but 2 u^n).  The new level is written into out and the
-    step ends after the solve: its g and its finiteness are left to run(),
-    which settles them a block of levels at a time.
+    The step is one _steps solve; the end nodes get their Dirichlet values
+    exactly.  A non-finite new level raises AccuracyError, and g of the new
+    level is evaluated once and written over the ring row no longer needed.
+    run() takes the same steps through _steps, a block of levels at a time.
     """
-    cfg = state.config
-    u, n = state.u, state.step_count
-    if source is None:
-        source = _delayed_sources(state, n, np.empty((1, len(u) - 2)))[0]
-    new = np.empty_like(u) if out is None else out
-    # the sum is solved for in place in the new level's interior
-    b = np.multiply(u[1:-1], 2.0, out=new[1:-1])
-    b += source
-    dpttrs(*state.factor, b, overwrite_b=True)
-    b -= u[1:-1]
-    new[0], new[-1] = cfg.bc_left, cfg.bc_right
-    if out is None:
-        if not np.all(np.isfinite(new)):
-            raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
-        state.history[(n + 1) % len(state.history)] = birth_rate(new, cfg.k)
-    state.u = new
+    cfg, n = state.config, state.step_count
+    new = np.empty((1, len(state.u)))
+    new[0, 0], new[0, -1] = cfg.bc_left, cfg.bc_right
+    _steps(state.u, new, _delayed_sources(state, n, np.empty((1, len(state.u) - 2))),
+           state.factor)
+    if not np.all(np.isfinite(new)):
+        raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
+    state.history[(n + 1) % len(state.history)] = birth_rate(new[0], cfg.k)
+    state.u = new[0]
     state.step_count = n + 1
     return state
 
 
 def _level_crossings(x: np.ndarray, u: np.ndarray, level: float):
     """Leftmost linear-interpolated crossing of u = level in each row of u,
-    and whether the row has one (where it has none, the position is junk)."""
-    s = u - level
-    p = np.empty(u.shape)
-    np.multiply(s.ravel()[:-1], s.ravel()[1:], out=p.ravel()[:-1])
-    crossed = p <= 0.0
-    crossed[:, -1] = False  # the product across a row end
-    i = np.argmax(crossed, axis=1)
+    and whether the row has one (where it has none, the position is junk).
+
+    A row crosses in the first cell whose ends give (u_i - level)(u_{i+1} -
+    level) <= 0.  When every row starts below the level, that is the first
+    cell whose right end is not below it, found by one comparison, unless
+    that end is NaN, which the product skips: the product decides then.
+    """
     rows = np.arange(len(u))
-    lo, du = u[rows, i], u[rows, i + 1] - u[rows, i]
-    with np.errstate(divide="ignore", invalid="ignore"):  # du == 0 takes x[i]
-        xl = x[i] + (x[i + 1] - x[i]) * (level - lo) / du
-    return np.where(du == 0.0, x[i], xl), crossed[rows, i]
+    i = None
+    if (u[:, 0] < level).all():
+        i = (u[:, 1:] < level).argmin(axis=1)
+        lo, hi = u[rows, i], u[rows, i + 1]
+        crossed = hi >= level
+        if np.isnan(hi).any():
+            i = None
+    if i is None:
+        s = u - level
+        p = np.empty(u.shape)
+        np.multiply(s.ravel()[:-1], s.ravel()[1:], out=p.ravel()[:-1])
+        crossed = p <= 0.0
+        crossed[:, -1] = False  # the product across a row end
+        i = crossed.argmax(axis=1)
+        lo, hi, crossed = u[rows, i], u[rows, i + 1], crossed[rows, i]
+    du = hi - lo
+    # du == 0 takes x[i]: a crossing there has lo == level, and 0 / inf = 0
+    return x[i] + (x[i + 1] - x[i]) * (level - lo) / np.where(du == 0.0, np.inf, du), crossed
 
 
 def run(config: SimConfig) -> SimResult:
@@ -273,59 +295,61 @@ def run(config: SimConfig) -> SimResult:
     Snapshots are taken at the requested times (rounded to the step grid)
     up to t_final.
 
-    Only the right-hand side and the solve run once per step (cn_step).  The
-    levels of up to _BLOCK steps are kept, and the rest is done on the block:
-    finiteness, extrema, level crossings and the wall test, which ends the
-    run at the first level that hits.  The step from level n reads g up to
-    level n + 1 - h/dt (n at h = 0), so the delayed sources of max(h/dt, 1)
-    steps are known at once: they are computed, and then g of their levels
-    enters the ring over levels no later step reads, in chunks of that many
-    steps (at most _BLOCK).  Each level's g is evaluated once, and every
-    result equals that of checking after each step.
+    The levels of up to _BLOCK steps are kept, and everything but the steps
+    themselves is done on the block: finiteness, extrema, level crossings
+    and the wall test, which ends the run at the first level that hits.  The
+    step from level n reads g up to level n + 1 - h/dt (n at h = 0), so the
+    delayed sources of max(h/dt, 1) steps are known at once: they are
+    computed, the steps taken (_steps, as in cn_step), and then g of their
+    levels enters the ring over levels no later step reads, in chunks of
+    that many steps (at most _BLOCK).  Each level's g is evaluated once, and
+    every result equals that of checking after each step.
     """
     state = init_cauchy(config)
-    g = state.history
+    g, u = state.history, state.u
     dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
     snap_steps = {int(round(ts / config.dt)) for ts in config.snapshot_times}
-    snapshots = [(0.0, state.u)] if 0 in snap_steps else []
+    snapshots = [(0.0, u)] if 0 in snap_steps else []
     times, positions = [], []
     n_steps = int(round(config.t_end / config.dt))
-    u_min, u_max = float(state.u.min()), float(state.u.max())
-    # state.u is the last row of the previous block, written again only by
-    # the last step of the next one
+    u_min, u_max = float(u.min()), float(u.max())
+    # the step into a row of levels starts from u: the row before it, the last
+    # row for row 0, or the initial data on the first step
     levels = np.empty((_BLOCK, config.n_points))
+    levels[:, 0], levels[:, -1] = config.bc_left, config.bc_right
     sources = np.empty((chunk, config.n_points - 2))
     n0 = 0  # steps done before the block
-    while n0 < n_steps:
-        block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
-        with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
+    with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
+        while n0 < n_steps:
+            block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
             for j0 in range(0, len(block), chunk):
                 part = block[j0:j0 + chunk]
-                for row, src in zip(part, _delayed_sources(state, n0 + j0, sources[:len(part)])):
-                    cn_step(state, out=row, source=src)
+                _steps(u, part, _delayed_sources(state, n0 + j0, sources[:len(part)]),
+                       state.factor)
+                u = part[-1]
                 g[_ring(g, n0 + j0 + 1, len(part))] = birth_rate(part, config.k)
-        lo, hi = float(block.min()), float(block.max())
-        if np.isfinite(lo) and np.isfinite(hi):
-            bad = len(block)
-        else:
-            bad = int(np.argmin(np.isfinite(block).all(axis=1)))
-        xl, crossed = _level_crossings(state.x, block[:bad], _LEVEL)
-        hit = np.flatnonzero(crossed & (xl <= config.x_min + _STOP_MARGIN))
-        if not len(hit) and bad < len(block):
-            raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
-        done = int(hit[0]) + 1 if len(hit) else len(block)
-        if done < len(block):
-            lo, hi = float(block[:done].min()), float(block[:done].max())
-        u_min, u_max = min(u_min, lo), max(u_max, hi)
-        for n in range(n0 + 1, n0 + done + 1):
-            if n in snap_steps:
-                snapshots.append((n * dt, block[n - n0 - 1].copy()))
-        found = np.flatnonzero(crossed[:done])
-        times.append((n0 + 1 + found) * dt)
-        positions.append(xl[found])
-        n0 += done
-        if len(hit):
-            break
+            lo, hi = float(block.min()), float(block.max())
+            if math.isfinite(lo) and math.isfinite(hi):
+                bad = len(block)
+            else:
+                bad = int(np.argmin(np.isfinite(block).all(axis=1)))
+            xl, crossed = _level_crossings(state.x, block[:bad], _LEVEL)
+            hit = np.flatnonzero(crossed & (xl <= config.x_min + _STOP_MARGIN))
+            if not len(hit) and bad < len(block):
+                raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
+            done = int(hit[0]) + 1 if len(hit) else len(block)
+            if done < len(block):
+                lo, hi = float(block[:done].min()), float(block[:done].max())
+            u_min, u_max = min(u_min, lo), max(u_max, hi)
+            for n in range(n0 + 1, n0 + done + 1):
+                if n in snap_steps:
+                    snapshots.append((n * dt, block[n - n0 - 1].copy()))
+            found = np.flatnonzero(crossed[:done])
+            times.append((n0 + 1 + found) * dt)
+            positions.append(xl[found])
+            n0 += done
+            if len(hit):
+                break
     traj = (np.column_stack([np.concatenate(times), np.concatenate(positions)])
             if times else np.empty((0, 2)))
     c_ns, residual, window = _fit(traj)

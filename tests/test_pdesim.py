@@ -400,16 +400,43 @@ class TestBlockedRun:
 
     def test_level_crossings_match_the_scalar_rule(self):
         # rows without a crossing, ties at the level (du == 0) and a crossing
-        # in the last cell, next to random rows
+        # in the last cell, next to random rows.  A block whose rows all start
+        # below the level takes the one-comparison search, unless a row's
+        # first value not below it is NaN; any other block the product rule
         rng = np.random.default_rng(3)
         x = np.linspace(-1.0, 1.0, 9)
-        rows = [np.zeros(9), np.full(9, 2.0), np.ones(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)],
-                np.r_[np.zeros(8), 2.0], np.r_[2.0, np.zeros(8)], *rng.uniform(0.0, 2.0, (20, 9)),
-                *rng.choice([0.0, 1.0, 2.0], (20, 9))]
-        u = np.array(rows)
-        xl, crossed = pdesim._level_crossings(x, u, 1.0)
-        for row, pos, has in zip(u, xl, crossed):
-            want = _crossing(x, row, 1.0)
-            assert has == (want is not None)
-            if has:
-                assert pos == want
+        nan = float("nan")
+        mixed = [np.zeros(9), np.full(9, 2.0), np.ones(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)],
+                 np.r_[np.zeros(8), 2.0], np.r_[2.0, np.zeros(8)], *rng.uniform(0.0, 2.0, (20, 9)),
+                 *rng.choice([0.0, 1.0, 2.0], (20, 9))]
+        below = [np.zeros(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)], np.r_[np.zeros(8), 2.0],
+                 np.r_[0.0, 0.5, 1.0, 0.5, np.full(5, 2.0)], np.r_[0.0, 2.0, nan, np.zeros(6)],
+                 *np.c_[rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 2.0, (20, 8))],
+                 *np.c_[np.zeros(20), rng.choice([0.0, 1.0, 2.0], (20, 8))]]
+        at_or_above = [np.full(9, 2.0), np.ones(9), np.r_[2.0, np.zeros(8)],
+                       np.r_[1.0, 0.0, 2.0, np.zeros(6)], np.r_[1.5, 1.5, nan, 0.0, np.ones(5)],
+                       *np.c_[rng.uniform(1.0, 2.0, 20), rng.uniform(0.0, 2.0, (20, 8))]]
+        with_nan = [np.r_[0.0, nan, 2.0, np.full(6, 2.0)], np.r_[0.0, nan, 0.0, 2.0, np.zeros(5)],
+                    np.r_[0.5, 0.5, nan, 2.0, 0.0, np.full(4, 2.0)], np.r_[0.0, nan, nan, np.ones(6)],
+                    np.r_[np.zeros(8), nan]]
+        blocks = [mixed, below, at_or_above, below + at_or_above, below + with_nan, with_nan,
+                  at_or_above + with_nan]
+        for u in map(np.array, blocks):
+            xl, crossed = pdesim._level_crossings(x, u, 1.0)
+            for row, pos, has in zip(u, xl, crossed):
+                want = _crossing(x, row, 1.0)
+                assert has == (want is not None)
+                if has:
+                    assert pos == want
+
+    def test_run_restores_the_floating_point_error_state(self, monkeypatch):
+        # run() ignores floating-point errors while it steps, and only then
+        cfg = SimConfig(h=0.5, k=1.2, t_end=2.0)
+        with np.errstate(all="warn"):
+            before = np.geterr()
+            run(cfg)
+            assert np.geterr() == before
+            monkeypatch.setattr(pdesim, "birth_rate", _bad_from(100, float("nan")))
+            with pytest.raises(AccuracyError, match="non-finite field"):
+                run(cfg)
+            assert np.geterr() == before
