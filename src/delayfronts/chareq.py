@@ -20,7 +20,8 @@ Re z = re_lo: the signs of Im chi at the sign changes of Re chi there
 
 The real turning points of chi are Lambert W closed forms (_critical_point).
 They bracket the real roots, decide whether those exist, and give the
-linear speed as the zero of chi at its minimum.
+linear speed as the zero of chi at its minimum.  W0 (_lambertw) and W_{-1}
+(_lambertw_m1, of ln|z|, which cannot underflow) are one iteration each.
 """
 
 from __future__ import annotations
@@ -213,71 +214,44 @@ def _chi_root(a: float, b: float, c: float, h: float, slope: float) -> float:
     return z
 
 
-# Real Lambert W as scipy 1.17's lambertw computes it (Corless et al. 1996): the
-# same starts, rounded as its C++ rounds them, then Halley's iteration to 1e-8.
-def _split(x: float) -> tuple[float, float]:
-    """Dekker's halves hi + lo = x, whose pairwise products are exact."""
-    t = 134217729.0 * x  # 2^27 + 1
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-# W0's (3, 2) Pade approximant at 0 is z num(z)/den(z), num = N0 z^2 + N1 z + 1
-# and den = D0 z^2 + D1 z + 1; N0 and D0 come split
-_N0, _D0 = 12.85106382978723404255, 32.53191489361702127660
-_N1, _D1 = 12.34042553191489361902, 14.34042553191489361702
-(_N0H, _N0L), (_D0H, _D0L) = _split(_N0), _split(_D0)
-
-
-def _pade0(z: float) -> float:
-    """z num(z)/den(z), each quadratic as scipy's cevalpoly takes it, a0 z^2 + a1 z
-    + a2 = z fma(2z, a0, a1) + fma(-z^2, a0, a2).  Each fma is fsum((p, e, add)):
-    p = x a0 and e its rounding error, exact by Dekker's two-product."""
-    r, s = 2.0 * z, -(z * z)
-    (rh, rl), (sh, sl) = _split(r), _split(s)
-    fsum = math.fsum
-    p = r * _N0
-    num = z * fsum((p, ((rh * _N0H - p) + rh * _N0L + rl * _N0H) + rl * _N0L, _N1))
-    p = s * _N0
-    num += fsum((p, ((sh * _N0H - p) + sh * _N0L + sl * _N0H) + sl * _N0L, 1.0))
-    p = r * _D0
-    den = z * fsum((p, ((rh * _D0H - p) + rh * _D0L + rl * _D0H) + rl * _D0L, _D1))
-    p = s * _D0
-    den += fsum((p, ((sh * _D0H - p) + sh * _D0L + sl * _D0H) + sl * _D0L, 1.0))
-    return z * num / den
-
-
-def _log_re(x: float) -> float:
-    """ln x (x > 0) as glibc's complex log computes its real part."""
-    return math.log1p((x - 1.0) * (x + 1.0)) / 2.0 if 0.5 <= x < 2.0 else math.log(x)
-
-
-def _lambertw(z: float, branch: int) -> float:
-    """Real Lambert W: branch 0 for z >= 0, branch -1 for -1/e <= z < 0.  Bit for
-    bit scipy.special.lambertw(z, branch).real, but -1 (not NaN) at z = -1/e.
+# Real Lambert W (Corless et al. 1996), one function per branch.  Each iterates
+# until its step is within 4e-16 |w| or stops shrinking: rounding noise held
+# W_{-1}'s step above the first test at ~1 in 100,000 arguments.
+def _lambertw(z: float) -> float:
+    """W0(z) for z >= 0: Halley's iteration from log1p(z) below 3 and from
+    ln z - ln ln z above, arranged with e^{-w} (w >= 0), which cannot overflow.
     """
     z = float(z)  # numpy scalars would make each step several times slower
-    if branch == 0:
-        if z == 0.0 or not z < math.inf:
-            return z
-        w = _pade0(z) if z < 1.5 else (L := _log_re(z)) - _log_re(L)
-    else:
-        w = math.log(-z)
-    up = w >= 0.0  # then Halley's step is arranged without e^w, which could overflow
+    if z == 0.0 or not z < math.inf:
+        return z
+    w = math.log1p(z) if z < 3.0 else (L := math.log(z)) - math.log(L)
+    last = math.inf
     for _ in range(100):
-        if up:
-            wewz = w - z * math.exp(-w)
-            den = w + 1.0 - (w + 2.0) * wewz / (2.0 * w + 2.0)
-        elif w == -1.0:  # the branch point, where C's step is 0 (or 0/0)
+        wewz = w - z * math.exp(-w)
+        step = wewz / (w + 1.0 - (w + 2.0) * wewz / (2.0 * w + 2.0))
+        w -= step
+        if not 4e-16 * abs(w) < abs(step) < last:
             return w
-        else:
-            ew = math.exp(w)
-            wewz = w * ew - z
-            den = w * ew + ew - (w + 2.0) * wewz / (2.0 * w + 2.0)
-        wn = w - wewz / den
-        if abs(wn - w) <= 1e-8 * abs(wn):
-            return wn
-        w = wn
+        last = abs(step)
+    return math.nan
+
+
+def _lambertw_m1(L: float) -> float:
+    """W_{-1}(z) at z = -e^L (L <= -1), so z may underflow: Newton's iteration on
+    w + ln(-w) = L from the branch-point series -1 - sqrt(2 (1 + e z)), with
+    1 + e z = -expm1(L + 1), for L > -1.4 and from L - ln(-L) below.
+    """
+    L = float(L)
+    w = -1.0 - math.sqrt(-2.0 * math.expm1(L + 1.0)) if L > -1.4 else L - math.log(-L)
+    last = math.inf
+    for _ in range(100):
+        if w == -1.0:  # the branch point, where the step is 0/0
+            return w
+        wn = w * (1.0 + L - math.log(-w)) / (1.0 + w)
+        step, w = abs(wn - w), wn
+        if not 4e-16 * abs(w) < step < last:
+            return w
+        last = step
     return math.nan
 
 
@@ -288,22 +262,16 @@ def _critical_point(c: float, tau: float, s: float, branch: int) -> float | None
     reads (tau y) e^{tau y} = X = s tau^2/2 e^{-c tau/2}, so
     z = c/2 + W_branch(X)/tau.  Branch 0 with s > 0 is the minimum of
     chi on the positive axis; branch -1 with s < 0 is its peak on the
-    left, which exists only for X >= -1/e (None otherwise).  When X
-    underflows, W_{-1} comes from L = ln|X| by Newton on w + ln(-w) = L.
+    left, which exists only for X >= -1/e, that is L = ln|X| <= -1 (None
+    otherwise).  W_{-1} takes L = ln(|s| tau^2/2) - c tau/2, which does not
+    underflow where X does.
     """
     if tau == 0.0:
         return 0.5 * c
-    X = 0.5 * s * tau * tau * math.exp(-0.5 * c * tau)
-    if branch == -1 and abs(X) < np.finfo(float).tiny:
-        L = math.log(0.5 * abs(s) * tau * tau) - 0.5 * c * tau
-        w = L - math.log(-L)
-        for _ in range(4):
-            w -= (w + math.log(-w) - L) / (1.0 + 1.0 / w)
-    elif branch == -1 and X < -1.0 / math.e:
-        return None
-    else:
-        w = _lambertw(X, branch)
-    return 0.5 * c + w / tau
+    if branch == 0:
+        return 0.5 * c + _lambertw(0.5 * s * tau * tau * math.exp(-0.5 * c * tau)) / tau
+    L = math.log(0.5 * abs(s) * tau * tau) - 0.5 * c * tau
+    return None if L > -1.0 else 0.5 * c + _lambertw_m1(L) / tau
 
 
 def roots_at_zero(c: float, h: float, params: ModelParams) -> RootsAtZero:
@@ -428,11 +396,12 @@ def h_star(slope_kappa: float) -> float:
     """Delay threshold: the unique h with |slope_kappa| * h * e^(h+1) = 1.
 
     In closed form h = W0(1 / (|slope_kappa| e)), W0 the principal branch
-    of the Lambert W function.
+    of the Lambert W function, which _lambertw computes to within 1.3 ulps;
+    the rounding of its argument can add about one more.
     """
     if not slope_kappa < 0.0:
         raise DomainError("slope_kappa must be negative")
-    return _lambertw(1.0 / (abs(slope_kappa) * math.e), 0)
+    return _lambertw(1.0 / (abs(slope_kappa) * math.e))
 
 
 def c_kappa_curve(h: float, params: ModelParams) -> float:

@@ -479,13 +479,13 @@ class LimitQuantities:
 def limit_quantities(k: float) -> LimitQuantities:
     chareq._check_k(k)
     # e^{-w}(2 + w) = a  <=>  -(2 + w) e^{-(2 + w)} = -a / e^2: the positive
-    # w_plus on the W_{-1} branch, the w_minus below -2 on W0
-    w_plus = -2.0 - chareq._lambertw(-2.0 / (k * np.e**2), -1)
+    # w_plus on W_{-1} (of -e^L, L = ln(2/k) - 2), the w_minus below -2 on W0
+    w_plus = -2.0 - chareq._lambertw_m1(math.log(2.0 / k) - 2.0)
     rho = math.sqrt(w_plus * (2.0 + w_plus))
     lambda_inf = math.sqrt(1.0 + 1.0 / rho**2) - 1.0 / rho
     # the positive root of mu^2 - 1 = e^{-mu r}
     mu_of = lambda r: chareq._root(lambda x: x * x - 1.0 - np.exp(-x * r), 1.0, 50.0)
-    w_minus = -2.0 - chareq._lambertw(2.0 / np.e**2, 0)
+    w_minus = -2.0 - chareq._lambertw(2.0 / np.e**2)
     rho_hat = math.sqrt(w_minus * (2.0 + w_minus))
     mu_inf, mu_hat = mu_of(rho), mu_of(rho_hat)
     # f_hat is chi at c = 0, delay product rho_hat: its minimum is closed-form

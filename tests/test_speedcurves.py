@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -41,6 +44,14 @@ class TestHStar:
                 hi *= 2.0
             oracle = brentq(f, 1e-12, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
             assert abs(h_star(s) - oracle) < 1e-14
+
+    @pytest.mark.parametrize("s", [-0.1, -1.0, -10.0])
+    def test_within_one_double_of_mpmath(self, s):
+        # h_star = W0(1/(|s| e)), correctly rounded or one of its neighbours;
+        # the rounding of the argument 1/(|s| e) alone can cost one of them
+        with mpmath.workdps(40):
+            exact = float(mpmath.lambertw(1 / (abs(mpmath.mpf(s)) * mpmath.e)).real)
+        assert abs(h_star(s) - exact) <= math.ulp(exact)
 
     def test_grows_as_slope_vanishes(self):
         assert h_star(-1e-6) > 8.0
