@@ -339,7 +339,7 @@ def roots_at_kappa(c: float, h: float, params: ModelParams) -> RootsAtKappa:
         mu2 = 0.5 * (c - np.sqrt(c * c + 4.0 * (1.0 - s)))
         return RootsAtKappa(mu1, mu2, None, in_region_Dkappa=True)
     if c * h < _TAU_FLOOR:
-        raise DomainError(f"c*h = {c * h:.3g} is below {_TAU_FLOOR:g}: mu3 overflows")
+        raise DomainError(f"c*h = {c * h!r} is below {_TAU_FLOOR:g}: mu3 overflows")
     if _dkappa_margin(c, c * h, s) <= 0.0:
         return RootsAtKappa(mu1, None, None, in_region_Dkappa=False)
     f = lambda z: eval_char(z, c, h, s)

@@ -14,7 +14,8 @@ front is the leftmost crossing of u = 1 = kappa/2, its speed fitted on the
 trailing half of the trajectory.
 
 One loop, _steps, takes the steps for run() and cn_step() alike: per
-step only the right-hand side and the solve.  run() is blocked in time and
+step two BLAS daxpy calls (+ 2 u^n, - u^n) and the solve, on a row that
+already holds the rest of its right-hand side.  run() is blocked in time and
 calls it once per chunk of steps.  The delayed sources, g of the new levels
 (each level still evaluated once), the finiteness check, the extrema and
 the level crossings are done in bulk on blocks of up to 16 levels, with the
@@ -23,6 +24,7 @@ same results as checking after every step.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -52,20 +54,40 @@ _STOP_MARGIN = 5.0  # run() stops once the level is this close to x_min
 _MAX_CELLS = 50_000_000
 
 
-def _pt_lapack():
-    """dpttrf and dpttrs from scipy's LAPACK wrapper, loaded by path, as the
+def _scipy_linalg_extension(name: str):
+    """The compiled module scipy.linalg.<name>, loaded by its path, as the
     scipy.linalg package costs ~0.3 s to import (find_spec imports nothing);
-    scipy.linalg.lapack serves where that file is absent."""
+    None where that file is absent."""
     linalg = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "_flapack" + suffix)
+        path = os.path.join(linalg, name + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-            flapack = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(flapack)
-            return flapack.dpttrf, flapack.dpttrs
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    return dpttrf, dpttrs
+            spec = importlib.util.spec_from_file_location("scipy.linalg." + name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return None
+
+
+def _pt_lapack():
+    """dpttrf and dpttrs from scipy's LAPACK wrapper, loaded by path;
+    scipy.linalg.lapack serves where that file is absent."""
+    flapack = _scipy_linalg_extension("_flapack")
+    if flapack is None:
+        from scipy.linalg import lapack as flapack
+    return flapack.dpttrf, flapack.dpttrs
+
+
+@functools.cache
+def _daxpy():
+    """BLAS daxpy(x, y, n, a), y <- a x + y in place on a contiguous float64
+    y, from scipy's BLAS wrapper loaded by path on first use (an import that
+    never simulates does not map it); scipy.linalg.blas serves where that
+    file is absent."""
+    fblas = _scipy_linalg_extension("_fblas")
+    if fblas is None:
+        from scipy.linalg import blas as fblas
+    return fblas.daxpy
 
 
 dpttrf, dpttrs = _pt_lapack()
@@ -191,10 +213,11 @@ def _ring(g: np.ndarray, first: int, count: int):
     return slice(i, i + count) if i + count <= len(g) else np.arange(i, i + count) % len(g)
 
 
-def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> np.ndarray:
-    """The right-hand side but 2 u^n of steps first, first + 1, ..., a row of
-    out each: dt times the delayed source on the interior plus the Dirichlet
-    terms 2r bc at its ends.  The ring must hold every level they read."""
+def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
+    """The right-hand side but 2 u^n of steps first, first + 1, ..., written
+    into a row of out each: dt times the delayed source on the interior plus
+    the Dirichlet terms 2r bc at its ends.  The ring must hold every level
+    they read."""
     cfg, g, count = state.config, state.history, len(out)
     m = cfg.delay_steps
     if m >= 1:
@@ -207,26 +230,28 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> np.ndarray
         out *= cfg.dt
     out[:, 0] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
     out[:, -1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
-    return out
 
 
-def _steps(u: np.ndarray, levels: np.ndarray, sources: np.ndarray,
-           factor: tuple[np.ndarray, np.ndarray]) -> None:
+def _steps(u: np.ndarray, levels: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> None:
     """Crank-Nicolson steps from the level u through the rows of levels, the
-    step into row j on sources[j], its right-hand side but 2 u^n.
+    interior of each row holding on entry its step's right-hand side but
+    2 u^n (as _delayed_sources writes it).
 
     A + B = 2I on the interior, so one pttrs solve on init_cauchy's factors
-    of A gives u^{n+1} + u^n = A^{-1}(2 u^n + source): the sum is solved for
-    in place in the new row's interior, and u^n is subtracted.  The end
-    columns of levels are not written; they must hold the Dirichlet values.
+    of A gives u^{n+1} + u^n = A^{-1}(2 u^n + source): in the new row's
+    interior, BLAS daxpy adds 2 u^n, the sum is solved for in place, and
+    daxpy subtracts u^n.  2 u^n and -u^n are exact, so each add rounds once,
+    to the bits of numpy's 2 u^n + source and sum - u^n.  u must not be a
+    row of levels.  The end columns of levels are not written; they must
+    hold the Dirichlet values.
     """
     d, e = factor
+    daxpy, n = _daxpy(), len(u) - 2
     prev = u[1:-1]
-    for b, source in zip(levels[:, 1:-1], sources):
-        np.multiply(prev, 2.0, out=b)
-        b += source
-        dpttrs(d, e, b, overwrite_b=True)
-        b -= prev
+    for b in levels[:, 1:-1]:
+        daxpy(prev, b, n, 2.0)
+        dpttrs(d, e, b, 1)
+        daxpy(prev, b, n, -1.0)
         prev = b
 
 
@@ -238,16 +263,17 @@ def cn_step(state: SimState) -> SimState:
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
-    The step is one _steps solve; the end nodes get their Dirichlet values
-    exactly.  A non-finite new level raises AccuracyError, and g of the new
-    level is evaluated once and written over the ring row no longer needed.
+    The right-hand side is written into the new level, and _steps takes the
+    step there; the end nodes get their Dirichlet values exactly.  A
+    non-finite new level raises AccuracyError, and g of the new level is
+    evaluated once and written over the ring row no longer needed.
     run() takes the same steps through _steps, a block of levels at a time.
     """
     cfg, n = state.config, state.step_count
     new = np.empty((1, len(state.u)))
     new[0, 0], new[0, -1] = cfg.bc_left, cfg.bc_right
-    _steps(state.u, new, _delayed_sources(state, n, np.empty((1, len(state.u) - 2))),
-           state.factor)
+    _delayed_sources(state, n, new[:, 1:-1])
+    _steps(state.u, new, state.factor)
     if not np.all(np.isfinite(new)):
         raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
     state.history[(n + 1) % len(state.history)] = birth_rate(new[0], cfg.k)
@@ -300,10 +326,11 @@ def run(config: SimConfig) -> SimResult:
     and the wall test, which ends the run at the first level that hits.  The
     step from level n reads g up to level n + 1 - h/dt (n at h = 0), so the
     delayed sources of max(h/dt, 1) steps are known at once: they are
-    computed, the steps taken (_steps, as in cn_step), and then g of their
-    levels enters the ring over levels no later step reads, in chunks of
-    that many steps (at most _BLOCK).  Each level's g is evaluated once, and
-    every result equals that of checking after each step.
+    written into the rows of the levels those steps make, the steps taken
+    there (_steps, as in cn_step), and then g of their levels enters the
+    ring over levels no later step reads, in chunks of that many steps (at
+    most _BLOCK).  Each level's g is evaluated once, and every result
+    equals that of checking after each step.
     """
     state = init_cauchy(config)
     g, u = state.history, state.u
@@ -313,20 +340,19 @@ def run(config: SimConfig) -> SimResult:
     times, positions = [], []
     n_steps = int(round(config.t_end / config.dt))
     u_min, u_max = float(u.min()), float(u.max())
-    # the step into a row of levels starts from u: the row before it, the last
-    # row for row 0, or the initial data on the first step
+    # the step into a chunk's first row starts from u: a copy of the chunk
+    # before's last level, or the initial data on the first step
     levels = np.empty((_BLOCK, config.n_points))
     levels[:, 0], levels[:, -1] = config.bc_left, config.bc_right
-    sources = np.empty((chunk, config.n_points - 2))
     n0 = 0  # steps done before the block
     with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
         while n0 < n_steps:
             block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
             for j0 in range(0, len(block), chunk):
                 part = block[j0:j0 + chunk]
-                _steps(u, part, _delayed_sources(state, n0 + j0, sources[:len(part)]),
-                       state.factor)
-                u = part[-1]
+                _delayed_sources(state, n0 + j0, part[:, 1:-1])
+                _steps(u, part, state.factor)
+                u = part[-1].copy()  # a later chunk's sources may overwrite this row
                 g[_ring(g, n0 + j0 + 1, len(part))] = birth_rate(part, config.k)
             lo, hi = float(block.min()), float(block.max())
             if math.isfinite(lo) and math.isfinite(hi):

@@ -36,6 +36,11 @@ class TestRoots:
         assert main(["roots", "--k", "1.5", "--c", "0.5", "--h", "1e-150"]) == 1
         assert "domain error" in capsys.readouterr().err
 
+    def test_delay_product_at_the_floor_prints_in_full(self, capsys):
+        # printed to 3 digits, c h = 9.999999999999998e-71 read "1e-70 is below 1e-70"
+        assert main(["roots", "--k", "1.2", "--c", "10", "--h", "1e-71"]) == 1
+        assert "c*h = 9.999999999999998e-71 is below 1e-70" in capsys.readouterr().err
+
     def test_lambda2_below_lower_bracket_is_domain_error(self, capsys):
         assert main(["roots", "--k", "1.01", "--c", "1", "--h", "1e12"]) == 1
         assert "lambda2 lies below" in capsys.readouterr().err
@@ -588,5 +593,17 @@ class TestImportCost:
     def test_cli_import_loads_no_scipy_solver_package(self, module):
         src = Path(kernels.__file__).resolve().parent.parent
         code = f"import delayfronts.cli, sys; assert {module!r} not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(src)})
+
+    # BLAS daxpy is loaded on the first step: mapping scipy's BLAS wrapper
+    # at import added ~1.3 MB of peak RSS to commands that never simulate
+    def test_blas_wrapper_loads_on_the_first_run_only(self):
+        src = Path(kernels.__file__).resolve().parent.parent
+        code = ("import delayfronts.cli, sys\n"
+                "from delayfronts import SimConfig, run\n"
+                "assert 'scipy.linalg._fblas' not in sys.modules\n"
+                "run(SimConfig(h=0.5, k=1.2, t_end=5.0))\n"
+                "assert 'scipy.linalg._fblas' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": str(src)})

@@ -100,6 +100,45 @@ def test_lapack_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch)
     assert pdesim._pt_lapack() == (lapack.dpttrf, lapack.dpttrs)
 
 
+def test_path_loaded_daxpy_matches_numpy_bit_for_bit():
+    """y + 2x and y - x round once, with or without FMA in the kernel: the
+    bits of numpy's 2*x + y and y - x, NaN, infinities, -0.0 and subnormals
+    included."""
+    daxpy = pdesim._daxpy()
+    rng = np.random.default_rng(24)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e-308, 1.7e308]
+    for _ in range(20):
+        x = rng.standard_normal(999) * 10.0 ** rng.integers(-320, 300, 999)
+        y = rng.standard_normal(999) * 10.0 ** rng.integers(-320, 300, 999)
+        x[rng.integers(0, 999, 40)] = rng.choice(special, 40)
+        y[rng.integers(0, 999, 40)] = rng.choice(special, 40)
+        with np.errstate(all="ignore"):
+            for a, want in ((2.0, 2.0 * x + y), (-1.0, y - x)):
+                got = y.copy()
+                daxpy(x, got, len(x), a)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_daxpy_updates_a_row_of_a_2d_array_in_place():
+    # f2py hands back an updated copy, silently, where y cannot be written in place
+    daxpy = pdesim._daxpy()
+    levels = np.arange(30.0).reshape(3, 10)
+    x = np.ones(8)
+    row = levels[1, 1:-1]
+    assert daxpy(x, row, 8, 2.0) is row
+    np.testing.assert_array_equal(levels[1], [10.0, *np.arange(13.0, 21.0), 19.0])
+    np.testing.assert_array_equal(levels[[0, 2]], np.arange(30.0).reshape(3, 10)[[0, 2]])
+
+
+def test_blas_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch):
+    import importlib.machinery
+
+    from scipy.linalg import blas
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    assert pdesim._daxpy.__wrapped__() is blas.daxpy
+
+
 class TestCnStep:
     def test_zero_equilibrium_is_stationary(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_right=0.0)
