@@ -18,8 +18,9 @@ step two BLAS daxpy calls (+ 2 u^n, - u^n) and the solve, on a row that
 already holds the rest of its right-hand side.  run() is blocked in time and
 calls it once per chunk of steps.  The delayed sources, g of the new levels
 (each level still evaluated once), the finiteness check, the extrema and
-the level crossings are done in bulk on blocks of up to 16 levels, with the
-same results as checking after every step.
+the level crossings are done in bulk on blocks of up to 32 levels, with the
+same results as checking after every step; that bulk work runs over whole
+rows, which numpy does faster than over strided interior views.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def init_cauchy(config: SimConfig) -> SimState:
     """
     x = config.x_min + config.dx * np.arange(config.n_points)
     u = np.where(x < 0.0, 0.0, 2.0)
-    # 0 and 2 are equilibria, fixed points of g, so this is also g(u); the
-    # end columns of the ring are never read
+    # 0 and 2 are equilibria, fixed points of g, so this is also g(u); what
+    # the end columns of the ring hold enters no result
     history = np.tile(u, (max(config.delay_steps, 1) + 1, 1))
     u[0], u[-1] = config.bc_left, config.bc_right
     r = config.dt / (2.0 * config.dx * config.dx)
@@ -201,9 +202,10 @@ def init_cauchy(config: SimConfig) -> SimState:
     return SimState(config=config, x=x, u=u, history=history, factor=(d, e))
 
 
-# levels run() keeps and checks at once; 32 or 64 saved no time that showed
-# above the noise and added ~0.6 MB of peak RSS per doubling
-_BLOCK = 16
+# levels run() keeps and checks at once: on the 12 table runs 32 took ~3-5%
+# less time than 16 and as much memory; 64 saved nothing more and added
+# ~0.8 MB of peak RSS
+_BLOCK = 32
 
 
 def _ring(g: np.ndarray, first: int, count: int):
@@ -215,21 +217,26 @@ def _ring(g: np.ndarray, first: int, count: int):
 
 def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
     """The right-hand side but 2 u^n of steps first, first + 1, ..., written
-    into a row of out each: dt times the delayed source on the interior plus
-    the Dirichlet terms 2r bc at its ends.  The ring must hold every level
-    they read."""
+    into the interior of a whole row of out each: dt times the delayed
+    source plus the Dirichlet terms 2r bc in its first and last entries.
+    The end columns of out get the Dirichlet values.  The ring must hold
+    every level they read.
+
+    The arithmetic runs over whole ring rows, contiguous in memory: over 32
+    rows numpy adds them ~5x and scales them ~4x faster than their strided
+    interiors.  The end columns it computes are then overwritten.
+    """
     cfg, g, count = state.config, state.history, len(out)
     m = cfg.delay_steps
     if m >= 1:
-        np.add(g[_ring(g, first - m, count), 1:-1], g[_ring(g, first - m + 1, count), 1:-1],
-               out=out)
+        np.add(g[_ring(g, first - m, count)], g[_ring(g, first - m + 1, count)], out=out)
         out *= 0.5 * cfg.dt  # the bits of * 0.5, then * dt: halving is exact
     else:
-        np.subtract(1.5 * g[_ring(g, first, count), 1:-1],
-                    0.5 * g[_ring(g, first - 1, count), 1:-1], out=out)
+        np.subtract(1.5 * g[_ring(g, first, count)], 0.5 * g[_ring(g, first - 1, count)], out=out)
         out *= cfg.dt
-    out[:, 0] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
-    out[:, -1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
+    out[:, 1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
+    out[:, -2] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
+    out[:, 0], out[:, -1] = cfg.bc_left, cfg.bc_right
 
 
 def _steps(u: np.ndarray, levels: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> None:
@@ -242,8 +249,8 @@ def _steps(u: np.ndarray, levels: np.ndarray, factor: tuple[np.ndarray, np.ndarr
     interior, BLAS daxpy adds 2 u^n, the sum is solved for in place, and
     daxpy subtracts u^n.  2 u^n and -u^n are exact, so each add rounds once,
     to the bits of numpy's 2 u^n + source and sum - u^n.  u must not be a
-    row of levels.  The end columns of levels are not written; they must
-    hold the Dirichlet values.
+    row of levels.  The end columns of levels are not written; they hold
+    the Dirichlet values _delayed_sources put there.
     """
     d, e = factor
     daxpy, n = _daxpy(), len(u) - 2
@@ -263,16 +270,16 @@ def cn_step(state: SimState) -> SimState:
     (both in the ring for h > 0).  At h = 0 the source at t + dt is not yet
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
-    The right-hand side is written into the new level, and _steps takes the
-    step there; the end nodes get their Dirichlet values exactly.  A
-    non-finite new level raises AccuracyError, and g of the new level is
-    evaluated once and written over the ring row no longer needed.
+    _delayed_sources writes the right-hand side into the new level's interior
+    and the exact Dirichlet values into its end nodes, and _steps takes the
+    step there.  A non-finite new level raises AccuracyError, and g of the
+    new level is evaluated once and written over the ring row no longer
+    needed.
     run() takes the same steps through _steps, a block of levels at a time.
     """
     cfg, n = state.config, state.step_count
     new = np.empty((1, len(state.u)))
-    new[0, 0], new[0, -1] = cfg.bc_left, cfg.bc_right
-    _delayed_sources(state, n, new[:, 1:-1])
+    _delayed_sources(state, n, new)
     _steps(state.u, new, state.factor)
     if not np.all(np.isfinite(new)):
         raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
@@ -293,8 +300,9 @@ def _level_crossings(x: np.ndarray, u: np.ndarray, level: float):
     """
     rows = np.arange(len(u))
     i = None
-    if (u[:, 0] < level).all():
-        i = (u[:, 1:] < level).argmin(axis=1)
+    below = u < level  # whole rows: faster than comparing the [:, 1:] view
+    if below[:, 0].all():
+        i = np.maximum(below.argmin(axis=1) - 1, 0)  # a row all below takes cell 0
         lo, hi = u[rows, i], u[rows, i + 1]
         crossed = hi >= level
         if np.isnan(hi).any():
@@ -326,11 +334,12 @@ def run(config: SimConfig) -> SimResult:
     and the wall test, which ends the run at the first level that hits.  The
     step from level n reads g up to level n + 1 - h/dt (n at h = 0), so the
     delayed sources of max(h/dt, 1) steps are known at once: they are
-    written into the rows of the levels those steps make, the steps taken
-    there (_steps, as in cn_step), and then g of their levels enters the
-    ring over levels no later step reads, in chunks of that many steps (at
-    most _BLOCK).  Each level's g is evaluated once, and every result
-    equals that of checking after each step.
+    written into the whole rows of the levels those steps make, Dirichlet
+    values included, the steps taken there (_steps, as in cn_step), and
+    then g of their levels enters the ring over levels no later step reads,
+    in chunks of that many steps (at most _BLOCK).  Each level's g is
+    evaluated once, and every result equals that of checking after each
+    step.
     """
     state = init_cauchy(config)
     g, u = state.history, state.u
@@ -343,14 +352,13 @@ def run(config: SimConfig) -> SimResult:
     # the step into a chunk's first row starts from u: a copy of the chunk
     # before's last level, or the initial data on the first step
     levels = np.empty((_BLOCK, config.n_points))
-    levels[:, 0], levels[:, -1] = config.bc_left, config.bc_right
     n0 = 0  # steps done before the block
     with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
         while n0 < n_steps:
             block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
             for j0 in range(0, len(block), chunk):
                 part = block[j0:j0 + chunk]
-                _delayed_sources(state, n0 + j0, part[:, 1:-1])
+                _delayed_sources(state, n0 + j0, part)
                 _steps(u, part, state.factor)
                 u = part[-1].copy()  # a later chunk's sources may overwrite this row
                 g[_ring(g, n0 + j0 + 1, len(part))] = birth_rate(part, config.k)

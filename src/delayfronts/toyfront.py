@@ -64,9 +64,16 @@ _DT_FLOOR = math.sqrt(_EPS / (12.0 * _RESIDUAL_TOL))
 
 
 def birth_rate(u, k: float):
-    """The piecewise-linear birth law (discontinuous at u = 1)."""
+    """The piecewise-linear birth law (discontinuous at u = 1): k u below 1,
+    4 - u elsewhere (NaN included), as a float array, or a scalar for a
+    scalar u.
+
+    4 - u is written everywhere and k u over it where u < 1: the bits of
+    np.where(u < 1, k u, 4 - u) without its three temporaries.
+    """
     u = np.asarray(u)
-    out = np.where(u < 1.0, k * u, 4.0 - u)
+    out = np.subtract(4.0, u, out=np.empty(u.shape))
+    np.multiply(u, k, out=out, where=u < 1.0)
     return out[()] if out.ndim == 0 else out
 
 

@@ -22,7 +22,7 @@ class TestConfigAndInit:
         for h, rows in ((0.5, 51), (0.0, 2)):
             st = init_cauchy(SimConfig(h=h, k=1.2, t_end=1.0))
             assert st.history.shape == (rows, 1001)
-            # every row is g of the Cauchy data (the end columns are unused)
+            # every row is g of the Cauchy data (the end columns enter no result)
             g0 = birth_rate(st.u, 1.2)[1:-1]
             for row in st.history:
                 np.testing.assert_array_equal(row[1:-1], g0)
@@ -371,7 +371,9 @@ def _bad_from(level: int, value: float):
 
 
 class TestBlockedRun:
-    # block ends (every 16 levels) meet neither h/dt, nor t_end/dt, nor the wall stop
+    # block ends (every 32 levels) meet neither h/dt, nor t_end/dt, nor the wall
+    # stop; chunks of 7 and 20 steps do not divide a block; the last two runs
+    # hold non-default Dirichlet values, which _delayed_sources writes per chunk
     @pytest.mark.parametrize("kwargs", [
         dict(h=0.0, t_end=60.0),
         dict(h=0.01, t_end=60.0),
@@ -379,10 +381,16 @@ class TestBlockedRun:
         dict(h=0.5, t_end=60.0, snapshot_times=(0.0, 20.0)),
         dict(h=1.37, t_end=100.0, snapshot_times=(10.0, 95.0)),
         dict(h=2.0, t_end=30.03),
+        dict(h=0.2, t_end=60.0),
+        dict(h=0.5, t_end=60.0, bc_left=0.25, bc_right=1.75, snapshot_times=(0.0, 12.34)),
+        dict(h=0.0, t_end=40.01, bc_left=-0.2, bc_right=1.9, snapshot_times=(3.33, 19.99)),
     ])
     def test_run_equals_a_check_after_every_step(self, kwargs):
         cfg = SimConfig(k=1.2, **kwargs)
+        n_steps, m = round(cfg.t_end / cfg.dt), cfg.delay_steps
+        assert n_steps % pdesim._BLOCK and (m <= 1 or m % pdesim._BLOCK)
         res = run(cfg)
+        assert round(res.t_final / cfg.dt) % pdesim._BLOCK
         traj, snapshots, u_min, u_max, t_final = _reference_run(cfg)
         assert np.array_equal(res.level_trajectory, traj)
         assert res.t_final == t_final
@@ -394,12 +402,17 @@ class TestBlockedRun:
         i0 = len(traj) // 2
         assert res.fit_window == (traj[i0, 0], traj[-1, 0])
 
-    # the first non-finite level inside a block (levels 289-304 at h = 0),
-    # and first or last in one (levels 337-352 at h = 0.5)
-    @pytest.mark.parametrize("h, first_bad", [(0.0, 301), (0.5, 337), (0.5, 352)])
+    # the first non-finite level inside a block (301 of levels 289-320 at h = 0,
+    # 337 of 321-352 at h = 0.5), first in one (321) and last in one (352);
+    # row is its place in its block
+    @pytest.mark.parametrize("h, first_bad, row", [
+        pytest.param(h, first_bad, row, id=f"{h}-{first_bad}")
+        for h, first_bad, row in [(0.0, 301, 12), (0.5, 337, 16), (0.5, 321, 0), (0.5, 352, 31)]
+    ])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_field_raises_at_the_first_bad_level(self, h, first_bad, value,
+    def test_non_finite_field_raises_at_the_first_bad_level(self, h, first_bad, row, value,
                                                              monkeypatch):
+        assert (first_bad - 1) % pdesim._BLOCK == row
         cfg = SimConfig(h=h, k=1.2, t_end=60.0)
         # g of level L first enters the step to level L + max(h/dt, 1)
         level = first_bad - max(cfg.delay_steps, 1)

@@ -30,6 +30,7 @@ from delayfronts.toyfront import (
     _pushed_branch,
     _pushed_end,
     _pushed_slope,
+    birth_rate,
     fit_tail_exponent,
     junction_derivative,
 )
@@ -55,6 +56,60 @@ class TestNondelayMinimalSpeed:
         for k in (1.0, 3.0, 0.5):
             with pytest.raises(DomainError):
                 nondelay_minimal_speed(k)
+
+
+def _where_birth_rate(u, k):
+    """The np.where form of the birth law that birth_rate must match bit for bit."""
+    u = np.asarray(u)
+    out = np.where(u < 1, k * u, 4 - u)
+    return out[()] if out.ndim == 0 else out
+
+
+class TestBirthRate:
+    SPECIAL = [float("nan"), -float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+               1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324, -5e-324,
+               2.2250738585072014e-308 / 3, -1e-310, 0.5, 2.0, 3.9, 4.0, 1e308, -1e308]
+
+    @staticmethod
+    def _same_bits(got, want):
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1.2, 2.9, 1.0000001])
+    @np.errstate(all="ignore")  # k u overflows at -1e308; np.where's k u at 1e308 too
+    def test_special_values_match_where_bit_for_bit(self, k):
+        u = np.array(self.SPECIAL)
+        self._same_bits(birth_rate(u, k), _where_birth_rate(u, k))
+        # a 2-d block, as run() passes it, and a non-contiguous view
+        block = np.tile(u, (3, 1))
+        self._same_bits(birth_rate(block, k), _where_birth_rate(block, k))
+        self._same_bits(birth_rate(block[:, 1:-1], k), _where_birth_rate(block[:, 1:-1], k))
+        for v in self.SPECIAL:
+            self._same_bits(birth_rate(v, k), _where_birth_rate(v, k))
+
+    @np.errstate(all="ignore")  # random bits hold signalling NaNs and huge values
+    def test_random_values_match_where_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        u = np.concatenate([rng.uniform(-1.0, 3.0, 5000),
+                            rng.normal(1.0, 1e-15, 200),
+                            rng.integers(0, 2**64, 5000, dtype=np.uint64).view(np.float64)])
+        self._same_bits(birth_rate(u, 1.2), _where_birth_rate(u, 1.2))
+
+    def test_scalar_in_scalar_out(self):
+        for u in (0.5, np.float64(3.0), np.array(0.25), float("nan")):
+            got = birth_rate(u, 1.2)
+            assert isinstance(got, np.float64) and np.ndim(got) == 0
+            self._same_bits(got, _where_birth_rate(u, 1.2))
+        assert birth_rate(0.5, 1.2) == 0.6
+        assert birth_rate(3.0, 1.2) == 1.0
+
+    def test_lists_and_integer_arrays(self):
+        for u in ([0.0, 0.5, 1.0, 2.0], [[0, 1], [2, 3]], np.arange(-2, 6),
+                  np.arange(6, dtype=np.int32)):
+            self._same_bits(birth_rate(u, 1.2), _where_birth_rate(u, 1.2))
+        np.testing.assert_array_equal(birth_rate(np.arange(4), 2.0), [0.0, 3.0, 2.0, 1.0])
 
 
 class TestRatioT:
