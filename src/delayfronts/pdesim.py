@@ -18,13 +18,16 @@ step two BLAS daxpy calls (+ 2 u^n, - u^n) and the solve, on a row that
 already holds the rest of its right-hand side.  run() is blocked in time and
 calls it once per chunk of steps.  The delayed sources, g of the new levels
 (each level still evaluated once), the finiteness check, the extrema and
-the level crossings are done in bulk on blocks of up to 32 levels, with the
-same results as checking after every step; that bulk work runs over whole
-rows, which numpy does faster than over strided interior views.
+the cells of the level crossings are done in bulk on blocks of up to 32
+levels, with the same results as checking after every step; that bulk work
+runs over whole rows, which numpy does faster than over strided interior
+views, and allocates no block-sized temporaries: g goes straight into the
+ring, and the crossings are interpolated once, at the end of the run.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import importlib.machinery
 import importlib.util
@@ -50,8 +53,8 @@ __all__ = [
 
 _LEVEL = 1.0  # the tracked level, kappa/2
 _STOP_MARGIN = 5.0  # run() stops once the level is this close to x_min
-# SimConfig refuses grids whose g ring and block of levels, max(h/dt, 16) + 1
-# rows of n_points floats, would hold more cells than this (400 MB)
+# SimConfig refuses grids whose g ring and block of levels, max(h/dt, _BLOCK)
+# + 1 rows of n_points floats, would hold more cells than this (400 MB)
 _MAX_CELLS = 50_000_000
 
 
@@ -101,6 +104,7 @@ class SimConfig:
     Defaults reproduce the reference discretization: domain [-25, 25],
     dx = 0.05, dt = 0.01, Dirichlet values 0 and 2.
     h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
+    The Dirichlet values and their terms dt/dx^2 bc must be finite.
     The step of the Cauchy data sits at x = 0; snapshot_times, within
     [0, t_end], request copies of the field.
     """
@@ -134,6 +138,13 @@ class SimConfig:
             raise DomainError(f"x_max - x_min must span at least 3 cells, got {round(nx)}")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise DomainError(f"snapshot_times must lie in [0, t_end = {self.t_end}]")
+        for name in ("bc_left", "bc_right"):
+            bc = getattr(self, name)
+            # the Dirichlet term 2r bc of each step's right-hand side, as
+            # _delayed_sources computes it: not finite for a NaN or infinite bc
+            if not math.isfinite(self.dt / (self.dx * self.dx) * bc):
+                raise DomainError(f"{name} = {bc} and its Dirichlet term dt/dx^2 * {name} "
+                                  f"must be finite")
 
     @property
     def delay_steps(self) -> int:
@@ -206,13 +217,22 @@ def init_cauchy(config: SimConfig) -> SimState:
 # less time than 16 and as much memory; 64 saved nothing more and added
 # ~0.8 MB of peak RSS
 _BLOCK = 32
+# levels per page of run()'s crossing cells, (i, lo, hi, crossed) in the 4
+# float rows of a page: 32 KB pages, a whole number of blocks
+_PAGE = 32 * _BLOCK
 
 
-def _ring(g: np.ndarray, first: int, count: int):
-    """Index of the ring rows of levels first, ..., first + count - 1: a slice
-    unless they wrap around the end of the ring."""
-    i = first % len(g)
-    return slice(i, i + count) if i + count <= len(g) else np.arange(i, i + count) % len(g)
+def _ring_runs(n_rows: int, count: int, *firsts: int):
+    """Cut j = 0, ..., count - 1 into runs over which the ring rows of the
+    levels first + j are contiguous, for each first: a list of (j0, j1,
+    [one slice of ring rows per first]), a single run unless some of them
+    wrap around the end of the ring.  count must not exceed n_rows."""
+    starts = [f % n_rows for f in firsts]
+    if max(starts) + count <= n_rows:
+        return [(0, count, [slice(i, i + count) for i in starts])]
+    cuts = sorted({0, count, *(n_rows - i for i in starts if n_rows - i < count)})
+    return [(j0, j1, [slice((i + j0) % n_rows, (i + j0) % n_rows + j1 - j0) for i in starts])
+            for j0, j1 in zip(cuts, cuts[1:])]
 
 
 def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
@@ -224,15 +244,19 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
 
     The arithmetic runs over whole ring rows, contiguous in memory: over 32
     rows numpy adds them ~5x and scales them ~4x faster than their strided
-    interiors.  The end columns it computes are then overwritten.
+    interiors.  The end columns it computes are then overwritten.  Where
+    the rows read wrap around the end of the ring, each run of them is
+    added in place, with no gathered copies.
     """
     cfg, g, count = state.config, state.history, len(out)
     m = cfg.delay_steps
     if m >= 1:
-        np.add(g[_ring(g, first - m, count)], g[_ring(g, first - m + 1, count)], out=out)
+        for j0, j1, (a, b) in _ring_runs(len(g), count, first - m, first - m + 1):
+            np.add(g[a], g[b], out=out[j0:j1])
         out *= 0.5 * cfg.dt  # the bits of * 0.5, then * dt: halving is exact
     else:
-        np.subtract(1.5 * g[_ring(g, first, count)], 0.5 * g[_ring(g, first - 1, count)], out=out)
+        for j0, j1, (a, b) in _ring_runs(len(g), count, first, first - 1):
+            np.subtract(1.5 * g[a], 0.5 * g[b], out=out[j0:j1])
         out *= cfg.dt
     out[:, 1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
     out[:, -2] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
@@ -273,7 +297,7 @@ def cn_step(state: SimState) -> SimState:
     _delayed_sources writes the right-hand side into the new level's interior
     and the exact Dirichlet values into its end nodes, and _steps takes the
     step there.  A non-finite new level raises AccuracyError, and g of the
-    new level is evaluated once and written over the ring row no longer
+    new level is evaluated once, straight into the ring row no longer
     needed.
     run() takes the same steps through _steps, a block of levels at a time.
     """
@@ -283,15 +307,16 @@ def cn_step(state: SimState) -> SimState:
     _steps(state.u, new, state.factor)
     if not np.all(np.isfinite(new)):
         raise AccuracyError(f"non-finite field after step to t={(n + 1) * cfg.dt}")
-    state.history[(n + 1) % len(state.history)] = birth_rate(new[0], cfg.k)
+    birth_rate(new[0], cfg.k, out=state.history[(n + 1) % len(state.history)])
     state.u = new[0]
     state.step_count = n + 1
     return state
 
 
-def _level_crossings(x: np.ndarray, u: np.ndarray, level: float):
-    """Leftmost linear-interpolated crossing of u = level in each row of u,
-    and whether the row has one (where it has none, the position is junk).
+def _level_cells(u: np.ndarray, level: float):
+    """The cell i of the leftmost crossing of u = level in each row of u,
+    the values u[i] and u[i + 1] around it, and whether the row has one
+    (where it has none, the rest is junk); _interpolate places it.
 
     A row crosses in the first cell whose ends give (u_i - level)(u_{i+1} -
     level) <= 0.  When every row starts below the level, that is the first
@@ -315,9 +340,17 @@ def _level_crossings(x: np.ndarray, u: np.ndarray, level: float):
         crossed[:, -1] = False  # the product across a row end
         i = crossed.argmax(axis=1)
         lo, hi, crossed = u[rows, i], u[rows, i + 1], crossed[rows, i]
+    return i, lo, hi, crossed
+
+
+def _interpolate(x: np.ndarray, i: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: float):
+    """The linear-interpolated crossings of u = level in the cells i, from
+    the values lo = u[i] and hi = u[i + 1] of _level_cells.  Where a row
+    crosses, (level - lo)/(hi - lo) is not negative, so the interpolant is
+    NaN or not below x[i]."""
     du = hi - lo
     # du == 0 takes x[i]: a crossing there has lo == level, and 0 / inf = 0
-    return x[i] + (x[i + 1] - x[i]) * (level - lo) / np.where(du == 0.0, np.inf, du), crossed
+    return x[i] + (x[i + 1] - x[i]) * (level - lo) / np.where(du == 0.0, np.inf, du)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -329,63 +362,21 @@ def run(config: SimConfig) -> SimResult:
     Snapshots are taken at the requested times (rounded to the step grid)
     up to t_final.
 
-    The levels of up to _BLOCK steps are kept, and everything but the steps
-    themselves is done on the block: finiteness, extrema, level crossings
-    and the wall test, which ends the run at the first level that hits.  The
-    step from level n reads g up to level n + 1 - h/dt (n at h = 0), so the
-    delayed sources of max(h/dt, 1) steps are known at once: they are
-    written into the whole rows of the levels those steps make, Dirichlet
-    values included, the steps taken there (_steps, as in cn_step), and
-    then g of their levels enters the ring over levels no later step reads,
-    in chunks of that many steps (at most _BLOCK).  Each level's g is
-    evaluated once, and every result equals that of checking after each
-    step.
+    _march takes the steps a block of levels at a time and keeps only the
+    cell of each level's crossing and the two values around it; the
+    trajectory is interpolated from them once, here, a page at a time,
+    after the g ring and the block are freed.  Every result equals that of
+    checking after each step.
     """
-    state = init_cauchy(config)
-    g, u = state.history, state.u
-    dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
-    snap_steps = {int(round(ts / config.dt)) for ts in config.snapshot_times}
-    snapshots = [(0.0, u)] if 0 in snap_steps else []
-    times, positions = [], []
-    n_steps = int(round(config.t_end / config.dt))
-    u_min, u_max = float(u.min()), float(u.max())
-    # the step into a chunk's first row starts from u: a copy of the chunk
-    # before's last level, or the initial data on the first step
-    levels = np.empty((_BLOCK, config.n_points))
-    n0 = 0  # steps done before the block
-    with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
-        while n0 < n_steps:
-            block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
-            for j0 in range(0, len(block), chunk):
-                part = block[j0:j0 + chunk]
-                _delayed_sources(state, n0 + j0, part)
-                _steps(u, part, state.factor)
-                u = part[-1].copy()  # a later chunk's sources may overwrite this row
-                g[_ring(g, n0 + j0 + 1, len(part))] = birth_rate(part, config.k)
-            lo, hi = float(block.min()), float(block.max())
-            if math.isfinite(lo) and math.isfinite(hi):
-                bad = len(block)
-            else:
-                bad = int(np.argmin(np.isfinite(block).all(axis=1)))
-            xl, crossed = _level_crossings(state.x, block[:bad], _LEVEL)
-            hit = np.flatnonzero(crossed & (xl <= config.x_min + _STOP_MARGIN))
-            if not len(hit) and bad < len(block):
-                raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
-            done = int(hit[0]) + 1 if len(hit) else len(block)
-            if done < len(block):
-                lo, hi = float(block[:done].min()), float(block[:done].max())
-            u_min, u_max = min(u_min, lo), max(u_max, hi)
-            for n in range(n0 + 1, n0 + done + 1):
-                if n in snap_steps:
-                    snapshots.append((n * dt, block[n - n0 - 1].copy()))
-            found = np.flatnonzero(crossed[:done])
-            times.append((n0 + 1 + found) * dt)
-            positions.append(xl[found])
-            n0 += done
-            if len(hit):
-                break
-    traj = (np.column_stack([np.concatenate(times), np.concatenate(positions)])
-            if times else np.empty((0, 2)))
+    x, snapshots, pages, u_min, u_max, n_done = _march(config)
+    pieces = []
+    for p, page in enumerate(pages):
+        page = page[:, : n_done - p * _PAGE]  # the last page is filled up to level n_done
+        found = np.flatnonzero(page[3])  # level p _PAGE + found + 1 crosses
+        i = page[0, found].astype(np.intp)
+        pieces.append(np.column_stack([(p * _PAGE + found + 1) * config.dt,
+                                       _interpolate(x, i, page[1, found], page[2, found], _LEVEL)]))
+    traj = np.concatenate(pieces) if pieces else np.empty((0, 2))
     c_ns, residual, window = _fit(traj)
     return SimResult(
         snapshots=snapshots,
@@ -395,8 +386,83 @@ def run(config: SimConfig) -> SimResult:
         fit_residual=residual,
         u_min=u_min,
         u_max=u_max,
-        t_final=n0 * dt,
+        t_final=n_done * config.dt,
     )
+
+
+def _march(config: SimConfig):
+    """run()'s steps: (x, snapshots, pages, u_min, u_max, steps done), the
+    rows of the pages holding i, lo, hi and crossed of _level_cells for
+    levels 1, 2, ..., _PAGE levels a page.  Pages are added as the steps
+    go, so their memory grows with the steps taken, not with t_end.
+
+    The levels of up to _BLOCK steps are kept, and everything but the steps
+    themselves is done on the block: finiteness, extrema, the cells of the
+    level crossings and the wall test, which ends the run at the first level
+    that hits.  The step from level n reads g up to level n + 1 - h/dt (n at
+    h = 0), so the delayed sources of max(h/dt, 1) steps are known at once:
+    they are written into the whole rows of the levels those steps make,
+    Dirichlet values included, the steps taken there (_steps, as in
+    cn_step), and then g of their levels is written straight into the ring
+    rows of levels no later step reads, in chunks of that many steps (at
+    most _BLOCK).  Each level's g is evaluated once.  An interpolated
+    crossing is NaN or not left of its cell's left end, so a block is
+    interpolated for the wall test only when a crossed cell starts within
+    _STOP_MARGIN of x_min.
+    """
+    state = init_cauchy(config)
+    g, u, x = state.history, state.u, state.x
+    dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
+    snap_steps = sorted({int(round(ts / config.dt)) for ts in config.snapshot_times})
+    snapshots = [(0.0, u)] if 0 in snap_steps else []
+    pages = []
+    n_steps = int(round(config.t_end / config.dt))
+    u_min, u_max = float(u.min()), float(u.max())
+    wall = config.x_min + _STOP_MARGIN
+    wall_cell = int(np.searchsorted(x, wall, side="right")) - 1  # the last i with x[i] <= wall
+    # the step into a chunk's first row starts from u: the initial data on
+    # the first step, then a copy of the chunk before's last level in prev
+    levels, prev = np.empty((_BLOCK, config.n_points)), np.empty(config.n_points)
+    n0 = 0  # steps done before the block
+    with np.errstate(all="ignore"):  # steps past a non-finite level; raised below
+        while n0 < n_steps:
+            block = levels[: min(_BLOCK, n_steps - n0)]  # levels n0 + 1, n0 + 2, ...
+            for j0 in range(0, len(block), chunk):
+                part = block[j0:j0 + chunk]
+                _delayed_sources(state, n0 + j0, part)
+                _steps(u, part, state.factor)
+                np.copyto(prev, part[-1])  # a later chunk's sources may overwrite this row
+                u = prev
+                for a, b, (rows,) in _ring_runs(len(g), len(part), n0 + j0 + 1):
+                    birth_rate(part[a:b], config.k, out=g[rows])
+            least, most = float(block.min()), float(block.max())
+            if math.isfinite(least) and math.isfinite(most):
+                bad = len(block)
+            else:
+                bad = int(np.argmin(np.isfinite(block).all(axis=1)))
+            i, lo, hi, crossed = _level_cells(block[:bad], _LEVEL)
+            hit = ()
+            if i.min(initial=wall_cell + 1, where=crossed) <= wall_cell:
+                xl = _interpolate(x, i, lo, hi, _LEVEL)
+                hit = np.flatnonzero(crossed & (xl <= wall))
+            if not len(hit) and bad < len(block):
+                raise AccuracyError(f"non-finite field after step to t={(n0 + bad + 1) * dt}")
+            done = int(hit[0]) + 1 if len(hit) else len(block)
+            if done < len(block):
+                least, most = float(block[:done].min()), float(block[:done].max())
+                i, lo, hi, crossed = i[:done], lo[:done], hi[:done], crossed[:done]
+            u_min, u_max = min(u_min, least), max(u_max, most)
+            for n in snap_steps[bisect.bisect_right(snap_steps, n0):
+                                bisect.bisect_right(snap_steps, n0 + done)]:
+                snapshots.append((n * dt, block[n - n0 - 1].copy()))
+            if n0 % _PAGE == 0:
+                pages.append(np.empty((4, _PAGE)))
+            page, cols = pages[-1], slice(n0 % _PAGE, n0 % _PAGE + done)
+            page[0, cols], page[1, cols], page[2, cols], page[3, cols] = i, lo, hi, crossed
+            n0 += done
+            if len(hit):
+                break
+    return x, snapshots, pages, u_min, u_max, n0
 
 
 def _fit(traj: np.ndarray):

@@ -63,18 +63,20 @@ _RESIDUAL_TOL = 1e-6
 _DT_FLOOR = math.sqrt(_EPS / (12.0 * _RESIDUAL_TOL))
 
 
-def birth_rate(u, k: float):
+def birth_rate(u, k: float, out=None):
     """The piecewise-linear birth law (discontinuous at u = 1): k u below 1,
     4 - u elsewhere (NaN included), as a float array, or a scalar for a
-    scalar u.
+    scalar u.  Given out, a float64 array of u's shape that does not
+    overlap u, the values are written there and out is returned.
 
     4 - u is written everywhere and k u over it where u < 1: the bits of
     np.where(u < 1, k u, 4 - u) without its three temporaries.
     """
     u = np.asarray(u)
-    out = np.subtract(4.0, u, out=np.empty(u.shape))
+    given = out is not None
+    out = np.subtract(4.0, u, out=out if given else np.empty(u.shape))
     np.multiply(u, k, out=out, where=u < 1.0)
-    return out[()] if out.ndim == 0 else out
+    return out if given or out.ndim else out[()]
 
 
 def nondelay_minimal_speed(k: float) -> tuple[float, str]:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,19 @@ class TestConfigAndInit:
     def test_grid_over_cell_cap_rejected(self, grid):
         with pytest.raises(DomainError, match="would exceed"):
             SimConfig(h=0.5, k=1.2, t_end=1.0, **grid)
+
+    # refused as input, not blamed on the integration (AccuracyError after the
+    # first step); 1e308 is finite, but its term dt/dx^2 * 1e308 = 4e308 is not
+    @pytest.mark.parametrize("name", ["bc_left", "bc_right"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
+    def test_non_finite_dirichlet_value_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} = .* must be finite"):
+            SimConfig(h=0.5, k=1.2, t_end=1.0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["bc_left", "bc_right"])
+    def test_dirichlet_value_with_a_finite_term_accepted(self, name):
+        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, **{name: 1e307})  # the term is 4e307
+        assert getattr(cfg, name) == 1e307
 
     @pytest.mark.parametrize("name", ["h", "t_end", "x_min", "x_max", "dx", "dt"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -203,9 +217,9 @@ class TestCnStep:
         # run() evaluates g a block of levels per call, each level once
         rows = []
 
-        def counted(u, k):
+        def counted(u, k, out=None):
             rows.append(1 if np.ndim(u) == 1 else len(u))
-            return birth_rate(u, k)
+            return birth_rate(u, k, out=out)
 
         monkeypatch.setattr(pdesim, "birth_rate", counted)
         run(SimConfig(h=h, k=1.2, t_end=2.0))
@@ -251,6 +265,23 @@ class TestRun:
         assert res.snapshots[0][0] == 0.0
         assert res.snapshots[1][0] == pytest.approx(1.0, abs=1e-9)
         assert res.snapshots[1][1].shape == (1001,)
+
+    def test_snapshots_at_block_edges_and_the_wall_stop(self):
+        # level 33 opens the second 32-level block and 64 closes it; the
+        # wall-stop level is the last, inside its block; a time past the
+        # wall stop is never reached
+        cfg = SimConfig(h=0.5, k=1.2, t_end=100.0)
+        wall = round(run(cfg).t_final / cfg.dt)
+        assert wall % pdesim._BLOCK
+        levels = (33, 64, wall, wall + 1)
+        cfg = SimConfig(h=0.5, k=1.2, t_end=100.0,
+                        snapshot_times=tuple(n * cfg.dt for n in levels))
+        res = run(cfg)
+        _, snapshots, *_ = _reference_run(cfg)
+        assert [t for t, _ in res.snapshots] == [n * cfg.dt for n in levels[:3]]
+        assert [t for t, _ in snapshots] == [t for t, _ in res.snapshots]
+        for (_, got), (_, want) in zip(res.snapshots, snapshots):
+            assert np.array_equal(got, want)
 
     def test_t_final_marks_the_wall_stop(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=100.0, snapshot_times=(10.0, 100.0))
@@ -320,6 +351,38 @@ class TestRun:
         assert abs(coarse - c_star) / c_star < 0.031
 
 
+def test_run_holds_no_block_sized_temporaries():
+    """Beyond its g ring and its block of levels, run() holds ~110 KB at its
+    traced peak at h = 2: the grid, the factors, the step row and one page
+    of crossing cells.  A block-sized temporary (250 KB) would show: g of a
+    chunk before it entered the ring and the gathered ring rows where the
+    delayed sources wrap took ~555 KB."""
+    cfg = SimConfig(h=2.0, k=1.2, t_end=5.0)
+    run(cfg)  # the first run maps the BLAS wrapper
+    tracemalloc.start()
+    try:
+        run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ring = (cfg.delay_steps + 1) * cfg.n_points * 8
+    block = pdesim._BLOCK * cfg.n_points * 8
+    assert peak - ring - block < 200_000
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 51])
+def test_ring_runs_cover_the_ring_rows_in_order(n_rows):
+    for count in range(1, n_rows + 1):
+        for firsts in [(f,) for f in range(-n_rows, 2 * n_rows)] + [
+                (f - 3, f - 2) for f in range(2 * n_rows)] + [(f, f - 1) for f in range(n_rows)]:
+            runs = pdesim._ring_runs(n_rows, count, *firsts)
+            assert [r[0] for r in runs] == [0, *(r[1] for r in runs[:-1])] and runs[-1][1] == count
+            for j0, j1, slices in runs:
+                assert len(slices) == len(firsts)
+                for f, rows in zip(firsts, slices):
+                    assert list(range(n_rows))[rows] == [(f + j) % n_rows for j in range(j0, j1)]
+
+
 def _reference_run(cfg: SimConfig):
     """run() as a plain loop checking after every step: cn_step, then the
     extrema, the snapshot, the level crossing and the wall test.
@@ -356,11 +419,12 @@ def _crossing(x, u, level):
 
 def _bad_from(level: int, value: float):
     """birth_rate that returns value for every level from `level` on; run()
-    and cn_step evaluate each level once, in order, so the rows are counted."""
+    and cn_step evaluate each level once, in order, so the rows are counted.
+    Given out, it writes there, as birth_rate does."""
     seen = [0]
 
-    def bad(u, k):
-        g = birth_rate(u, k)
+    def bad(u, k, out=None):
+        g = birth_rate(u, k, out=out)
         rows = g.reshape(-1, g.shape[-1])
         first = seen[0] + 1
         seen[0] += len(rows)
@@ -474,7 +538,8 @@ class TestBlockedRun:
         blocks = [mixed, below, at_or_above, below + at_or_above, below + with_nan, with_nan,
                   at_or_above + with_nan]
         for u in map(np.array, blocks):
-            xl, crossed = pdesim._level_crossings(x, u, 1.0)
+            i, lo, hi, crossed = pdesim._level_cells(u, 1.0)
+            xl = pdesim._interpolate(x, i, lo, hi, 1.0)
             for row, pos, has in zip(u, xl, crossed):
                 want = _crossing(x, row, 1.0)
                 assert has == (want is not None)

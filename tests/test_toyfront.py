@@ -111,6 +111,51 @@ class TestBirthRate:
             self._same_bits(birth_rate(u, 1.2), _where_birth_rate(u, 1.2))
         np.testing.assert_array_equal(birth_rate(np.arange(4), 2.0), [0.0, 3.0, 2.0, 1.0])
 
+    @staticmethod
+    def _into_ring(u, k):
+        """birth_rate of the rows of u written into ring rows, as run() and
+        cn_step write g: a block into a slice of rows, one level into one
+        row.  The ring's other rows must keep their bits."""
+        rng = np.random.default_rng(26)
+        ring = rng.standard_normal((len(u) + 5, u.shape[1]))
+        before = ring.copy()
+        got = birth_rate(u, k, out=ring[2:2 + len(u)])
+        assert got.base is ring and np.shares_memory(got, ring[2])
+        assert birth_rate(u[0], k, out=ring[-1]).base is ring
+        np.testing.assert_array_equal(ring[[0, 1, -3, -2]], before[[0, 1, -3, -2]])
+        return ring[2:2 + len(u)], ring[-1]
+
+    @pytest.mark.parametrize("k", [1.2, 2.9, 1.0000001])
+    @np.errstate(all="ignore")  # k u overflows at -1e308
+    def test_into_ring_rows_matches_a_fresh_array(self, k):
+        rng = np.random.default_rng(11)
+        special = np.array(self.SPECIAL)
+        bits = rng.integers(0, 2**64, (4, len(special)), dtype=np.uint64).view(np.float64)
+        u = np.vstack([special, special[::-1], bits])
+        rows, row = self._into_ring(u, k)
+        self._same_bits(rows, birth_rate(u, k))
+        self._same_bits(row, birth_rate(u[0], k))
+
+    @np.errstate(all="ignore")  # random bits hold signalling NaNs and huge values
+    def test_into_ring_rows_on_random_values(self):
+        rng = np.random.default_rng(12)
+        u = np.concatenate([rng.uniform(-1.0, 3.0, 3000), rng.normal(1.0, 1e-15, 1000),
+                            rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)])
+        u = u.reshape(8, 1000)
+        rows, row = self._into_ring(u, 1.2)
+        self._same_bits(rows, birth_rate(u, 1.2))
+        self._same_bits(row, birth_rate(u[0], 1.2))
+
+    def test_out_is_returned_and_zero_d_input_unchanged(self):
+        out = np.full(3, np.nan)
+        assert birth_rate([0.5, 1.0, 2.0], 1.2, out=out) is out
+        np.testing.assert_array_equal(out, [0.6, 3.0, 2.0])
+        # without out, 0-d input still gives a scalar; with one, out itself
+        got = birth_rate(np.array(0.5), 1.2)
+        assert isinstance(got, np.float64) and got == 0.6
+        out0 = np.empty(())
+        assert birth_rate(0.5, 1.2, out=out0) is out0 and out0[()] == 0.6
+
 
 class TestRatioT:
     def test_consistent_with_nondelay_speed(self):
