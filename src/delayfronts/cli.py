@@ -140,10 +140,34 @@ class _Manifest:
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
+        # a float first column written earlier, as float64 bits, and its cells
+        self._first_bits = np.empty(0, np.uint64)
+        self._first_cells = np.empty((_CELL, 0), np.uint8)
 
     def write_text(self, name: str, text: str) -> None:
         (self.dir / name).write_text(text)
         self.outputs.append(name)
+
+    def _first_cells_of(self, col: np.ndarray) -> np.ndarray:
+        """The cells of a float first column, (_CELL, n) as _float_cells gives
+        them.  Those of its longest common prefix with the cached column,
+        compared bit for bit (-0.0 and 0.0 render differently, and a NaN
+        equals nothing), are taken from the cached cells; the rest are
+        rendered, _ROWS at a time, and the column becomes the cached one
+        unless it was the cached column or a prefix of it.  The kernel
+        command's three CSVs share N's t column, of which psi's is a prefix."""
+        bits = np.asarray(col, dtype=np.float64).view(np.uint64)
+        m = min(len(bits), len(self._first_bits))
+        differ = np.flatnonzero(bits[:m] != self._first_bits[:m])
+        k = differ[0] if differ.size else m
+        if k == len(bits):
+            return self._first_cells[:, :k]
+        cells = np.empty((_CELL, len(bits)), np.uint8)
+        cells[:, :k] = self._first_cells[:, :k]
+        for i in range(k, len(bits), _ROWS):
+            cells[:, i:i + _ROWS] = _float_cells(col[i:i + _ROWS])
+        self._first_bits, self._first_cells = bits.copy(), cells
+        return cells
 
     def write_csv(self, name: str, header: str, *columns) -> None:
         """Write equal-length columns as CSV rows under a header line.
@@ -158,11 +182,13 @@ class _Manifest:
         _ROWS rows, every column becomes a block of NUL-padded cells; the
         blocks are stacked between rows of separators, transposed into rows
         once, and the pads deleted.  Row chunks keep every temporary small.
+        A float first column is rendered whole, reusing what it shares with
+        the cached one (_first_cells_of).
         """
         blocks = []
         for col in columns:
             if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-                blocks.append(col)
+                blocks.append(col if blocks else self._first_cells_of(col))
             else:
                 cells = np.array([_fmt(v).encode() for v in col], dtype=bytes)
                 blocks.append(cells.view(np.uint8).reshape(len(cells), cells.itemsize).T)

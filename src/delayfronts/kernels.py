@@ -36,7 +36,6 @@ __all__ = [
     "psi_kernel",
     "N_kernel",
     "apply_N_operator",
-    "check_factorization",
 ]
 
 _SUPPORT_DECADES = 23.03  # e^-23.03 < 1e-10
@@ -284,72 +283,3 @@ def apply_N_operator(
     start = pad + n_neg
     out = full[start : start + len(values)]
     return np.clip(out, 0.0, params.kappa)
-
-
-def check_factorization(
-    t_grid: np.ndarray,
-    values: np.ndarray,
-    c: float,
-    h: float,
-    params: ModelParams,
-) -> float:
-    """Max residual of D = D1 D2 = D2 D1 on a sampled test function.
-
-    Derivatives by central differences, the history integral by trapezoid
-    on the grid; the grid step must divide ch.  Returns the larger of the
-    two composition residuals over the valid interior window.
-    """
-    roots = _require_region(c, h, params)
-    mu2 = roots.mu2
-    gk = params.slope_kappa
-    t_grid = np.asarray(t_grid, dtype=float)
-    y = np.asarray(values, dtype=float)
-    dt = float(t_grid[1] - t_grid[0])
-    ch = c * h
-    m = int(round(ch / dt)) if h > 0.0 else 0
-    if h > 0.0 and abs(m * dt - ch) > 1e-9 * ch:
-        raise DomainError("grid step must divide c*h")
-
-    def d1(arr):
-        out = np.full_like(arr, np.nan)
-        out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dt)
-        return out
-
-    def hist(arr):
-        # trapezoid of e^{-mu2 s} arr(t+s) over s in [-ch, 0]
-        if m == 0:
-            return np.zeros_like(arr)
-        wq = np.full(m + 1, dt)
-        wq[0] *= 0.5
-        wq[-1] *= 0.5
-        ker = wq * np.exp(-mu2 * (-ch + dt * np.arange(m + 1)))
-        out = np.full_like(arr, np.nan)
-        out[m:] = np.convolve(arr, ker[::-1], "valid")
-        return out
-
-    def D2(arr):
-        return d1(arr) - (c - mu2) * arr - gk * np.exp(-ch * mu2) * hist(arr)
-
-    def D1(arr):
-        return d1(arr) - mu2 * arr
-
-    def D(arr):
-        out = np.full_like(arr, np.nan)
-        out[1:-1] = (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / (dt * dt)
-        out -= c * d1(arr) + arr
-        if m == 0:
-            out += gk * arr
-        else:
-            out[:m] = np.nan
-            out[m:] += gk * arr[:-m]
-        return out
-
-    full = D(y)
-    comp12 = D1(D2(y))
-    comp21 = D2(D1(y))
-    ok = np.isfinite(full) & np.isfinite(comp12) & np.isfinite(comp21)
-    if not np.any(ok):
-        raise DomainError("test function too short for the composition window")
-    r12 = np.max(np.abs(full[ok] - comp12[ok]))
-    r21 = np.max(np.abs(full[ok] - comp21[ok]))
-    return float(max(r12, r21))

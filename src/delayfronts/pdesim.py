@@ -23,6 +23,10 @@ levels, with the same results as checking after every step; that bulk work
 runs over whole rows, which numpy does faster than over strided interior
 views, and allocates no block-sized temporaries: g goes straight into the
 ring, and the crossings are interpolated once, at the end of the run.
+
+The LAPACK and BLAS kernels come from scipy's compiled wrappers, loaded by
+_kernels on the first init_cauchy() or step, not at import: commands that
+never simulate do not map them.
 """
 
 from __future__ import annotations
@@ -73,28 +77,22 @@ def _scipy_linalg_extension(name: str):
     return None
 
 
-def _pt_lapack():
-    """dpttrf and dpttrs from scipy's LAPACK wrapper, loaded by path;
-    scipy.linalg.lapack serves where that file is absent."""
+@functools.cache
+def _kernels():
+    """(dpttrf, dpttrs, daxpy), the simulator's compiled kernels, loaded on
+    first use: LAPACK dpttrf and dpttrs from scipy's LAPACK wrapper, and
+    BLAS daxpy(x, y, n, a), y <- a x + y in place on a contiguous float64 y,
+    from its BLAS wrapper.  Both wrappers are loaded by path, so an import
+    that never simulates maps neither of them nor the OpenBLAS they load;
+    scipy.linalg.lapack and scipy.linalg.blas serve where those files are
+    absent.  Nothing else in this module calls into scipy."""
     flapack = _scipy_linalg_extension("_flapack")
     if flapack is None:
         from scipy.linalg import lapack as flapack
-    return flapack.dpttrf, flapack.dpttrs
-
-
-@functools.cache
-def _daxpy():
-    """BLAS daxpy(x, y, n, a), y <- a x + y in place on a contiguous float64
-    y, from scipy's BLAS wrapper loaded by path on first use (an import that
-    never simulates does not map it); scipy.linalg.blas serves where that
-    file is absent."""
     fblas = _scipy_linalg_extension("_fblas")
     if fblas is None:
         from scipy.linalg import blas as fblas
-    return fblas.daxpy
-
-
-dpttrf, dpttrs = _pt_lapack()
+    return flapack.dpttrf, flapack.dpttrs, fblas.daxpy
 
 
 @dataclass(frozen=True)
@@ -207,6 +205,7 @@ def init_cauchy(config: SimConfig) -> SimState:
     u[0], u[-1] = config.bc_left, config.bc_right
     r = config.dt / (2.0 * config.dx * config.dx)
     n = config.n_points - 2
+    dpttrf, _, _ = _kernels()
     d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r + config.dt / 2.0), np.full(n - 1, -r))
     if info != 0:
         raise AccuracyError(f"pttrf failed on the Crank-Nicolson matrix (info={info})")
@@ -277,7 +276,8 @@ def _steps(u: np.ndarray, levels: np.ndarray, factor: tuple[np.ndarray, np.ndarr
     the Dirichlet values _delayed_sources put there.
     """
     d, e = factor
-    daxpy, n = _daxpy(), len(u) - 2
+    _, dpttrs, daxpy = _kernels()
+    n = len(u) - 2
     prev = u[1:-1]
     for b in levels[:, 1:-1]:
         daxpy(prev, b, n, 2.0)

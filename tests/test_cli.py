@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from delayfronts import AccuracyError, double_root_speed, kernels, pdesim, toyfront
+from delayfronts import AccuracyError, cli, double_root_speed, kernels, pdesim, toyfront
 from delayfronts.cli import _Manifest, _fmt, main
 
 
@@ -243,6 +243,62 @@ class TestFloatColumns:
             0.0099999951, 9999995.0, 1e-5, 1e-4, 1e5, 1e6, 1e-16, 9.99999e26, 1e27,
             0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308,
         ])
+
+
+class TestFirstColumnReuse:
+    """A float first column reuses the cells it shares, bit for bit, with the
+    one a _Manifest cached; its file stays that of a fresh _Manifest."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The lengths of the columns _float_cells renders."""
+        lengths = []
+        float_cells = cli._float_cells
+
+        def counted(col):
+            lengths.append(len(col))
+            return float_cells(col)
+
+        monkeypatch.setattr(cli, "_float_cells", counted)
+        return lengths
+
+    def test_files_match_a_fresh_manifest(self, tmp_path, rendered):
+        rng = np.random.default_rng(27)
+        t = rng.standard_normal(9000)  # three _ROWS chunks
+        t[[10, 5000]] = 0.0
+        t[[20, 8000]] = np.nan
+        signed = t.copy()
+        signed[10] = -0.0  # == 0.0, but prints "-0"
+        payload = t.copy()
+        payload.view(np.uint64)[20] = 0x7FF8_0000_0000_0001  # another NaN
+        payload.view(np.uint64)[8000] = 0xFFF8_0000_0000_0000  # a negative one
+        ext = np.concatenate([t, rng.standard_normal(300)])
+        strided = np.vstack([t, -t]).T[:, 0]  # t's bits, every other float
+        # (first column, how many of its cells are rendered, not reused); a
+        # column equal to the cached one or a prefix of it leaves the cache be
+        cases = [(t, 9000), (t.copy(), 0), (ext, 300), (t[:4500], 0), (t, 0),
+                 (signed, 8990), (t, 8990), (payload, 8980), (t, 8980),
+                 (rng.standard_normal(50), 50), (strided, 9000), (t, 0), (t[:0], 0),
+                 (t[:4500], 0), (ext, 300)]
+        man = _Manifest("test", {}, str(tmp_path / "shared"))
+        for i, (col, n_rendered) in enumerate(cases):
+            rendered.clear()
+            man.write_csv(f"{i}.csv", "t,v", col, np.arange(len(col), dtype=np.float64))
+            assert sum(rendered) - len(col) == n_rendered, i
+            _Manifest("test", {}, str(tmp_path / "fresh")).write_csv(
+                f"{i}.csv", "t,v", col, np.arange(len(col), dtype=np.float64))
+            fresh = (tmp_path / "fresh" / f"{i}.csv").read_bytes()
+            assert (tmp_path / "shared" / f"{i}.csv").read_bytes() == fresh, i
+        assert b"\n-0," in (tmp_path / "shared" / "5.csv").read_bytes()
+
+    def test_kernel_command_renders_t_once(self, tmp_path, rendered):
+        assert main(["kernel", "--k", "1.2", "--c", "0.5", "--h", "1", "--out", str(tmp_path)]) == 0
+        rows = {name: len((tmp_path / name).read_bytes().splitlines()) - 1
+                for name in ("psi.csv", "theta.csv", "n.csv")}
+        assert rows["psi.csv"] < rows["n.csv"] == rows["theta.csv"]
+        # psi's t and values, the rest of N's t, then theta's and N's values
+        p, n = rows["psi.csv"], rows["n.csv"]
+        assert sum(rendered) == 2 * p + (n - p) + 2 * n
 
 
 class TestCsvBytes:
@@ -596,14 +652,24 @@ class TestImportCost:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": str(src)})
 
-    # BLAS daxpy is loaded on the first step: mapping scipy's BLAS wrapper
-    # at import added ~1.3 MB of peak RSS to commands that never simulate
-    def test_blas_wrapper_loads_on_the_first_run_only(self):
+    # LAPACK dpttrf/dpttrs and BLAS daxpy are loaded on the first simulation:
+    # mapping scipy's wrappers at import added ~2.6 MB (LAPACK) and ~1.3 MB
+    # (BLAS) of peak RSS to commands that never simulate
+    def test_blas_wrapper_loads_on_the_first_run_only(self, tmp_path):
         src = Path(kernels.__file__).resolve().parent.parent
+        out = str(tmp_path)
         code = ("import delayfronts.cli, sys\n"
                 "from delayfronts import SimConfig, run\n"
-                "assert 'scipy.linalg._fblas' not in sys.modules\n"
+                f"for argv in ({['curves', '--k', '1.2', '--h-max', '0.5', '--out', out]!r},\n"
+                "             ['roots', '--k', '1.2', '--c', '1', '--h', '0.5'],\n"
+                "             ['toy', '--k', '1.2', '--h', '0.5', '--transitions'],\n"
+                f"             {['profile', '--k', '1.2', '--h', '0.5', '--out', out]!r},\n"
+                f"             {['kernel', '--k', '1.2', '--c', '0.5', '--h', '1', '--out', out]!r}):\n"
+                "    assert delayfronts.cli.main(argv) == 0, argv\n"
+                "scipy = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+                "assert not scipy, scipy\n"
                 "run(SimConfig(h=0.5, k=1.2, t_end=5.0))\n"
+                "assert 'scipy.linalg._flapack' in sys.modules\n"
                 "assert 'scipy.linalg._fblas' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": str(src)})

@@ -99,10 +99,11 @@ def test_path_loaded_lapack_matches_scipy_linalg():
 
     rng = np.random.default_rng(19)
     d, e, b = np.full(999, 1.0 + 2.0 * 4.0 + 0.005), np.full(998, -4.0), rng.standard_normal(999)
-    ours, ref = pdesim.dpttrf(d, e), lapack.dpttrf(d, e)
+    dpttrf, dpttrs, _ = pdesim._kernels()
+    ours, ref = dpttrf(d, e), lapack.dpttrf(d, e)
     for x, y in zip(ours, ref):
         np.testing.assert_array_equal(x, y)
-    np.testing.assert_array_equal(pdesim.dpttrs(*ours[:2], b)[0], lapack.dpttrs(*ref[:2], b)[0])
+    np.testing.assert_array_equal(dpttrs(*ours[:2], b)[0], lapack.dpttrs(*ref[:2], b)[0])
 
 
 def test_lapack_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch):
@@ -111,14 +112,15 @@ def test_lapack_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch)
     from scipy.linalg import lapack
 
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
-    assert pdesim._pt_lapack() == (lapack.dpttrf, lapack.dpttrs)
+    # the uncached loader: the cached one returns what it loaded first
+    assert pdesim._kernels.__wrapped__()[:2] == (lapack.dpttrf, lapack.dpttrs)
 
 
 def test_path_loaded_daxpy_matches_numpy_bit_for_bit():
     """y + 2x and y - x round once, with or without FMA in the kernel: the
     bits of numpy's 2*x + y and y - x, NaN, infinities, -0.0 and subnormals
     included."""
-    daxpy = pdesim._daxpy()
+    _, _, daxpy = pdesim._kernels()
     rng = np.random.default_rng(24)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e-308, 1.7e308]
     for _ in range(20):
@@ -135,7 +137,7 @@ def test_path_loaded_daxpy_matches_numpy_bit_for_bit():
 
 def test_daxpy_updates_a_row_of_a_2d_array_in_place():
     # f2py hands back an updated copy, silently, where y cannot be written in place
-    daxpy = pdesim._daxpy()
+    _, _, daxpy = pdesim._kernels()
     levels = np.arange(30.0).reshape(3, 10)
     x = np.ones(8)
     row = levels[1, 1:-1]
@@ -150,7 +152,7 @@ def test_blas_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch):
     from scipy.linalg import blas
 
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
-    assert pdesim._daxpy.__wrapped__() is blas.daxpy
+    assert pdesim._kernels.__wrapped__()[2] is blas.daxpy
 
 
 class TestCnStep:
