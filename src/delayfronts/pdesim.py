@@ -10,8 +10,8 @@ interior Crank-Nicolson matrices satisfy A + B = 2I, so each step solves
 A (u^{n+1} + u^n) = 2 u^n + f by one LAPACK pttrs on A (factored once by
 pttrf) and subtracts u^n; f, dt times the delayed source with the
 Dirichlet terms 2r bc at its ends, comes a chunk of steps at a time.  The
-front is the leftmost crossing of u = 1 = kappa/2, its speed fitted on the
-trailing half of the trajectory.
+front is the leftmost crossing of u = 1 = kappa/2 from below (run() needs
+bc_left < 1), its speed fitted on the trailing half of the trajectory.
 
 One loop, _steps, takes the steps for run() and cn_step() alike: per
 step two BLAS daxpy calls (+ 2 u^n, - u^n) and the solve, on a row that
@@ -102,7 +102,8 @@ class SimConfig:
     Defaults reproduce the reference discretization: domain [-25, 25],
     dx = 0.05, dt = 0.01, Dirichlet values 0 and 2.
     h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
-    The Dirichlet values and their terms dt/dx^2 bc must be finite.
+    The Dirichlet values and their terms dt/dx^2 bc must be finite; run()
+    also needs bc_left below the tracked level 1.
     The step of the Cauchy data sits at x = 0; snapshot_times, within
     [0, t_end], request copies of the field.
     """
@@ -216,8 +217,8 @@ def init_cauchy(config: SimConfig) -> SimState:
 # less time than 16 and as much memory; 64 saved nothing more and added
 # ~0.8 MB of peak RSS
 _BLOCK = 32
-# levels per page of run()'s crossing cells, (i, lo, hi, crossed) in the 4
-# float rows of a page: 32 KB pages, a whole number of blocks
+# levels per page of run()'s crossing cells, (i, lo, hi) in the 3 float rows
+# of a page: 24 KB pages, a whole number of blocks
 _PAGE = 32 * _BLOCK
 
 
@@ -314,43 +315,23 @@ def cn_step(state: SimState) -> SimState:
 
 
 def _level_cells(u: np.ndarray, level: float):
-    """The cell i of the leftmost crossing of u = level in each row of u,
-    the values u[i] and u[i + 1] around it, and whether the row has one
-    (where it has none, the rest is junk); _interpolate places it.
-
-    A row crosses in the first cell whose ends give (u_i - level)(u_{i+1} -
-    level) <= 0.  When every row starts below the level, that is the first
-    cell whose right end is not below it, found by one comparison, unless
-    that end is NaN, which the product skips: the product decides then.
+    """The cell i of the leftmost crossing of u = level in each row of u and
+    the values lo = u[i] and hi = u[i + 1] around it, for finite rows whose
+    first value lies below the level: i + 1 is the first node not below it,
+    and a row crosses exactly where hi >= level (a row all below takes cell
+    0).  _interpolate places the crossing.
     """
+    i = np.maximum((u < level).argmin(axis=1) - 1, 0)  # whole rows: faster than the [:, 1:] view
     rows = np.arange(len(u))
-    i = None
-    below = u < level  # whole rows: faster than comparing the [:, 1:] view
-    if below[:, 0].all():
-        i = np.maximum(below.argmin(axis=1) - 1, 0)  # a row all below takes cell 0
-        lo, hi = u[rows, i], u[rows, i + 1]
-        crossed = hi >= level
-        if np.isnan(hi).any():
-            i = None
-    if i is None:
-        s = u - level
-        p = np.empty(u.shape)
-        np.multiply(s.ravel()[:-1], s.ravel()[1:], out=p.ravel()[:-1])
-        crossed = p <= 0.0
-        crossed[:, -1] = False  # the product across a row end
-        i = crossed.argmax(axis=1)
-        lo, hi, crossed = u[rows, i], u[rows, i + 1], crossed[rows, i]
-    return i, lo, hi, crossed
+    return i, u[rows, i], u[rows, i + 1]
 
 
 def _interpolate(x: np.ndarray, i: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: float):
     """The linear-interpolated crossings of u = level in the cells i, from
-    the values lo = u[i] and hi = u[i + 1] of _level_cells.  Where a row
-    crosses, (level - lo)/(hi - lo) is not negative, so the interpolant is
-    NaN or not below x[i]."""
-    du = hi - lo
-    # du == 0 takes x[i]: a crossing there has lo == level, and 0 / inf = 0
-    return x[i] + (x[i + 1] - x[i]) * (level - lo) / np.where(du == 0.0, np.inf, du)
+    the values lo = u[i] and hi = u[i + 1] of _level_cells.  On a crossed
+    row lo < level <= hi, so (level - lo)/(hi - lo) lies in (0, 1] and the
+    interpolant is not left of x[i]; on the other rows it is junk."""
+    return x[i] + (x[i + 1] - x[i]) * (level - lo) / (hi - lo)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -360,7 +341,8 @@ def run(config: SimConfig) -> SimResult:
     stops early once the crossing comes within _STOP_MARGIN of x_min so the
     Dirichlet wall cannot contaminate the speed fit on its trailing half.
     Snapshots are taken at the requested times (rounded to the step grid)
-    up to t_final.
+    up to t_final.  The level is crossed from below, so bc_left, u at
+    x_min, must lie below 1: DomainError refuses it before any step.
 
     _march takes the steps a block of levels at a time and keeps only the
     cell of each level's crossing and the two values around it; the
@@ -368,11 +350,13 @@ def run(config: SimConfig) -> SimResult:
     after the g ring and the block are freed.  Every result equals that of
     checking after each step.
     """
+    if not config.bc_left < _LEVEL:
+        raise DomainError(f"run() needs bc_left < {_LEVEL}, the tracked level, got {config.bc_left}")
     x, snapshots, pages, u_min, u_max, n_done = _march(config)
     pieces = []
     for p, page in enumerate(pages):
         page = page[:, : n_done - p * _PAGE]  # the last page is filled up to level n_done
-        found = np.flatnonzero(page[3])  # level p _PAGE + found + 1 crosses
+        found = np.flatnonzero(page[2] >= _LEVEL)  # level p _PAGE + found + 1 crosses
         i = page[0, found].astype(np.intp)
         pieces.append(np.column_stack([(p * _PAGE + found + 1) * config.dt,
                                        _interpolate(x, i, page[1, found], page[2, found], _LEVEL)]))
@@ -392,9 +376,9 @@ def run(config: SimConfig) -> SimResult:
 
 def _march(config: SimConfig):
     """run()'s steps: (x, snapshots, pages, u_min, u_max, steps done), the
-    rows of the pages holding i, lo, hi and crossed of _level_cells for
-    levels 1, 2, ..., _PAGE levels a page.  Pages are added as the steps
-    go, so their memory grows with the steps taken, not with t_end.
+    rows of the pages holding i, lo and hi of _level_cells for levels 1,
+    2, ..., _PAGE levels a page; a level crosses where hi >= 1.  Pages are
+    added as the steps go, so their memory grows with the steps taken.
 
     The levels of up to _BLOCK steps are kept, and everything but the steps
     themselves is done on the block: finiteness, extrema, the cells of the
@@ -406,9 +390,9 @@ def _march(config: SimConfig):
     cn_step), and then g of their levels is written straight into the ring
     rows of levels no later step reads, in chunks of that many steps (at
     most _BLOCK).  Each level's g is evaluated once.  An interpolated
-    crossing is NaN or not left of its cell's left end, so a block is
-    interpolated for the wall test only when a crossed cell starts within
-    _STOP_MARGIN of x_min.
+    crossing is not left of its cell's left end, so a block is interpolated
+    for the wall test only when a crossed cell starts within _STOP_MARGIN of
+    x_min.
     """
     state = init_cauchy(config)
     g, u, x = state.history, state.u, state.x
@@ -440,7 +424,8 @@ def _march(config: SimConfig):
                 bad = len(block)
             else:
                 bad = int(np.argmin(np.isfinite(block).all(axis=1)))
-            i, lo, hi, crossed = _level_cells(block[:bad], _LEVEL)
+            i, lo, hi = _level_cells(block[:bad], _LEVEL)
+            crossed = hi >= _LEVEL
             hit = ()
             if i.min(initial=wall_cell + 1, where=crossed) <= wall_cell:
                 xl = _interpolate(x, i, lo, hi, _LEVEL)
@@ -450,15 +435,14 @@ def _march(config: SimConfig):
             done = int(hit[0]) + 1 if len(hit) else len(block)
             if done < len(block):
                 least, most = float(block[:done].min()), float(block[:done].max())
-                i, lo, hi, crossed = i[:done], lo[:done], hi[:done], crossed[:done]
             u_min, u_max = min(u_min, least), max(u_max, most)
             for n in snap_steps[bisect.bisect_right(snap_steps, n0):
                                 bisect.bisect_right(snap_steps, n0 + done)]:
                 snapshots.append((n * dt, block[n - n0 - 1].copy()))
             if n0 % _PAGE == 0:
-                pages.append(np.empty((4, _PAGE)))
+                pages.append(np.empty((3, _PAGE)))
             page, cols = pages[-1], slice(n0 % _PAGE, n0 % _PAGE + done)
-            page[0, cols], page[1, cols], page[2, cols], page[3, cols] = i, lo, hi, crossed
+            page[:, cols] = i[:done], lo[:done], hi[:done]
             n0 += done
             if len(hit):
                 break

@@ -46,7 +46,6 @@ __all__ = [
     "pushed_to_pulled_delay",
     "oscillation_threshold",
     "junction_derivative",
-    "fit_tail_exponent",
 ]
 
 _EPS = np.finfo(float).eps
@@ -428,27 +427,6 @@ def _profile_residual(t, phi, c, h, m, dt, tail):
     dly = np.where(idx >= m, phi[np.maximum(idx - m, 0)], tail(np.minimum(idx - m, 0) * dt))
     r = d2 - c * d1 - phi[idx] + 4.0 - dly
     return float(np.max(np.abs(r) / (1.0 + np.abs(phi[idx]))))
-
-
-def fit_tail_exponent(profile: WaveProfile) -> float:
-    """Least-squares decay exponent of log phi over a far-tail window.
-
-    The window is pushed left until the subdominant tail mode is below
-    1e-9 relative, so the fitted slope isolates the dominant exponent:
-    lambda1 for the pushed profile (p = 0), lambda2 above the minimal speed.
-    """
-    ch = profile.c * profile.h
-    lam1, lam2, p = profile.lambda1, profile.lambda2, profile.p
-    if p == 0.0:
-        left = -ch - 10.0
-    else:
-        # (1-p)/p * e^{(lam1-lam2) s} <= 1e-9 at the window's right edge
-        s_hi = min(0.0, np.log(1e-9 * p / max(1.0 - p, _EPS)) / (lam1 - lam2))
-        left = s_hi - ch - 10.0
-    ts = np.linspace(left, left + 10.0, 200)
-    ys = np.log(profile.tail(ts))
-    slope = np.polyfit(ts, ys, 1)[0]
-    return float(slope)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,6 @@ from delayfronts import (
     roots_at_kappa,
     run,
 )
-from delayfronts.toyfront import fit_tail_exponent
-
 from conftest import sample_dkappa
 
 SPEED_TABLE = {
@@ -146,10 +144,11 @@ def test_07_root_dominance_certification(toy12):
     report("7 root dominance", "100 draws, 3 zeros right of mu3 - 1e-4 each")
 
 
-def test_08_profile_structural_suite():
+def test_08_profile_structural_suite(toy12):
     cases = []
     for h in (0.0, 0.5, 2.0, 6.0):
         c_star, regime = minimal_speed(h, 1.2)
+        assert regime == "pushed"
         cases.append((c_star, h, "minimal/" + regime))
         # modest above-minimal margin: far above it the slow e^{mu2 t}
         # relaxation outlasts the T_stop-capped integration window
@@ -168,9 +167,18 @@ def test_08_profile_structural_suite():
         assert abs(prof.dphi[0] - prof.tail_deriv(0.0)) <= 10 * prof.grid_step**2
         assert prof.residual_max <= 1e-6, label
         assert prof.settle_offset <= 1e-3, label
-        fitted = fit_tail_exponent(prof)
-        target = prof.lambda1 if prof.p == 0.0 else prof.lambda2
-        assert fitted == pytest.approx(target, abs=1e-6), label
+        # the pushed minimal front has no lambda2 tail mode, a faster one has
+        assert prof.p == 0.0 if label.startswith("minimal") else prof.p > 0.0, label
+        # the computed continuation relaxes to 2 at the rate mu2 inside D_kappa
+        # (relative error <= 3.5e-6 measured, at 1.1 c*, h = 2, where |phi - 2|
+        # falls to 6e-12) and oscillates about 2 outside it (3-4 sign changes)
+        window = (prof.t > 0.3 * prof.terminal_time) & (prof.t < 0.9 * prof.terminal_time)
+        offset = prof.phi[window] - 2.0
+        if prof.in_region_Dkappa:
+            slope = np.polyfit(prof.t[window], np.log(np.abs(offset)), 1)[0]
+            assert slope == pytest.approx(roots_at_kappa(c, h, toy12).mu2, rel=2e-5), label
+        else:
+            assert offset.min() < 0.0 < offset.max(), label
     report("8 profile structure", f"{len(cases)} profiles, all checks hold")
 
 

@@ -220,16 +220,19 @@ class TestFloatColumns:
         bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
         assert len(got) == len(want) and not bad, [(x[i - 1], got[i]) for i in bad[:5]]
 
+    @pytest.mark.slow
     def test_random_bit_patterns(self, tmp_path):
         # both signs, subnormals, infinities and NaNs (~500 each) included
         bits = np.random.default_rng(21).integers(0, 2**64, 10**6, dtype=np.uint64)
         x = np.concatenate([bits.view(np.float64), [np.nan, -np.nan, 4.9e-322, -2.2e-308]])
         self.check(tmp_path, x)
 
+    @pytest.mark.slow
     def test_log_uniform(self, tmp_path):
         rng = np.random.default_rng(22)
         self.check(tmp_path, rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-20, 20, 10**6))
 
+    @pytest.mark.slow
     def test_ties_at_the_sixth_digit(self, tmp_path):
         n = np.arange(10**5, 10**6, dtype=np.float64)
         self.check(tmp_path, n + 0.5)

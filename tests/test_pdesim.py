@@ -468,6 +468,26 @@ class TestBlockedRun:
         i0 = len(traj) // 2
         assert res.fit_window == (traj[i0, 0], traj[-1, 0])
 
+    def test_run_equals_a_check_after_every_step_with_ties_at_the_level(self, monkeypatch):
+        # every level rounded to eighths, so the first node not below 1 is
+        # often exactly 1: run() must count a crossing there as the
+        # per-step check does
+        steps = pdesim._steps
+
+        def coarse_steps(u, levels, factor):
+            for row in levels:
+                steps(u, row[None], factor)
+                np.round(row * 8.0, out=row)
+                row /= 8.0
+                u = row
+
+        monkeypatch.setattr(pdesim, "_steps", coarse_steps)
+        cfg = SimConfig(h=0.5, k=1.2, t_end=3.0)
+        res = run(cfg)
+        traj = _reference_run(cfg)[0]
+        assert len(traj) == round(cfg.t_end / cfg.dt)
+        assert np.array_equal(res.level_trajectory, traj)
+
     # the first non-finite level inside a block (301 of levels 289-320 at h = 0,
     # 337 of 321-352 at h = 0.5), first in one (321) and last in one (352);
     # row is its place in its block
@@ -517,36 +537,35 @@ class TestBlockedRun:
                 run(cfg)
 
     def test_level_crossings_match_the_scalar_rule(self):
-        # rows without a crossing, ties at the level (du == 0) and a crossing
-        # in the last cell, next to random rows.  A block whose rows all start
-        # below the level takes the one-comparison search, unless a row's
-        # first value not below it is NaN; any other block the product rule
+        # the rows run() passes: finite, starting below the level.  Rows
+        # without a crossing, ties at the level and a crossing in the last
+        # cell, next to random rows; every cell i is a cell of the row
         rng = np.random.default_rng(3)
         x = np.linspace(-1.0, 1.0, 9)
-        nan = float("nan")
-        mixed = [np.zeros(9), np.full(9, 2.0), np.ones(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)],
-                 np.r_[np.zeros(8), 2.0], np.r_[2.0, np.zeros(8)], *rng.uniform(0.0, 2.0, (20, 9)),
-                 *rng.choice([0.0, 1.0, 2.0], (20, 9))]
-        below = [np.zeros(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)], np.r_[np.zeros(8), 2.0],
-                 np.r_[0.0, 0.5, 1.0, 0.5, np.full(5, 2.0)], np.r_[0.0, 2.0, nan, np.zeros(6)],
-                 *np.c_[rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 2.0, (20, 8))],
-                 *np.c_[np.zeros(20), rng.choice([0.0, 1.0, 2.0], (20, 8))]]
-        at_or_above = [np.full(9, 2.0), np.ones(9), np.r_[2.0, np.zeros(8)],
-                       np.r_[1.0, 0.0, 2.0, np.zeros(6)], np.r_[1.5, 1.5, nan, 0.0, np.ones(5)],
-                       *np.c_[rng.uniform(1.0, 2.0, 20), rng.uniform(0.0, 2.0, (20, 8))]]
-        with_nan = [np.r_[0.0, nan, 2.0, np.full(6, 2.0)], np.r_[0.0, nan, 0.0, 2.0, np.zeros(5)],
-                    np.r_[0.5, 0.5, nan, 2.0, 0.0, np.full(4, 2.0)], np.r_[0.0, nan, nan, np.ones(6)],
-                    np.r_[np.zeros(8), nan]]
-        blocks = [mixed, below, at_or_above, below + at_or_above, below + with_nan, with_nan,
-                  at_or_above + with_nan]
-        for u in map(np.array, blocks):
-            i, lo, hi, crossed = pdesim._level_cells(u, 1.0)
-            xl = pdesim._interpolate(x, i, lo, hi, 1.0)
-            for row, pos, has in zip(u, xl, crossed):
-                want = _crossing(x, row, 1.0)
-                assert has == (want is not None)
-                if has:
-                    assert pos == want
+        u = np.array([np.zeros(9), np.r_[0.0, 1.0, 1.0, np.full(6, 2.0)], np.r_[np.zeros(8), 2.0],
+                      np.r_[0.0, 0.5, 1.0, 0.5, np.full(5, 2.0)],
+                      *np.c_[rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 2.0, (20, 8))],
+                      *np.c_[np.zeros(20), rng.choice([0.0, 1.0, 2.0], (20, 8))]])
+        i, lo, hi = pdesim._level_cells(u, 1.0)
+        assert np.all((0 <= i) & (i < len(x) - 1))
+        crossed = hi >= 1.0
+        xl = pdesim._interpolate(x, i[crossed], lo[crossed], hi[crossed], 1.0)
+        want = [_crossing(x, row, 1.0) for row in u]
+        assert crossed.tolist() == [w is not None for w in want]
+        assert xl.tolist() == [w for w in want if w is not None]
+
+    # the tracked level is crossed from below, so run() needs u < 1 at x_min
+    @pytest.mark.parametrize("bc_left, x_min", [(1.0, -25.0), (2.0, -25.0), (1.5, 1.0)])
+    def test_bc_left_at_or_above_the_level_refused_before_any_step(self, bc_left, x_min,
+                                                                    monkeypatch):
+        cfg = SimConfig(h=0.5, k=1.2, t_end=10.0, x_min=x_min, bc_left=bc_left)
+
+        def no_steps(config):
+            raise AssertionError("init_cauchy called")
+
+        monkeypatch.setattr(pdesim, "init_cauchy", no_steps)
+        with pytest.raises(DomainError, match="bc_left"):
+            run(cfg)
 
     def test_run_restores_the_floating_point_error_state(self, monkeypatch):
         # run() ignores floating-point errors while it steps, and only then
