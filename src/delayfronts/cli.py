@@ -87,7 +87,9 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     its exact value: unless that lies within 1e-8 of a tie, rounding m to an
     integer gives the six digits of Python's correctly rounded formatting.
     Near-ties, NaN, infinities and |x| outside that range are formatted by
-    Python one at a time; zeros get the digits 000000.
+    Python one at a time; zeros get the digits 000000.  The sign, "0.000"
+    prefix and exponent planes are computed only when some cell is negative,
+    lies in [1e-4, 1) or takes scientific notation; otherwise they stay NUL.
     """
     x = np.asarray(col, dtype=np.float64)
     a = np.abs(x)
@@ -112,19 +114,23 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     sci = (e < -4) | (e >= 6)
     point = np.where(sci, 0, e).astype(np.int8)  # the digit the point follows
     out = np.zeros((_CELL, x.size), np.uint8)
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    out[1:6] = (np.arange(5)[:, None] < np.where(point < 0, 1 - point, 0)) * _PREFIX
+    neg = np.signbit(x)
+    if neg.any():
+        out[0] = neg * np.uint8(ord("-"))
+    if (point < 0).any():
+        out[1:6] = (np.arange(5)[:, None] < np.where(point < 0, 1 - point, 0)) * _PREFIX
     out[6:12:2] = _DIGITS3.take(hi, axis=1)
     out[12:17:2] = _DIGITS3.take(lo, axis=1)
     out[6:17:2] *= _SIX <= np.maximum(last, point)  # trailing zeros after the point go
     out[7:17:2] = (_SIX[:5] == point) & (last > point)  # and a bare point
     out[7:17:2] *= np.uint8(ord("."))
-    ae = np.abs(e).astype(np.uint8)
-    out[17] = ord("e")
-    out[18] = np.where(e < 0, ord("-"), ord("+"))
-    out[19] = ae // 10 + ord("0")
-    out[20] = ae % 10 + ord("0")
-    out[17:21] *= sci
+    if sci.any():
+        ae = np.abs(e).astype(np.uint8)
+        out[17] = ord("e")
+        out[18] = np.where(e < 0, ord("-"), ord("+"))
+        out[19] = ae // 10 + ord("0")
+        out[20] = ae % 10 + ord("0")
+        out[17:21] *= sci
     if slow.size:
         text = ["{:.6g}".format(v).encode() for v in x[slow].tolist()]
         out[:, slow] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL).T
@@ -179,15 +185,18 @@ class _Manifest:
         (within 1e-8 of a rounding tie, NaN, infinities, |x| outside
         [1e-16, 1e27)) are formatted by Python.  Other columns (which may mix
         floats, strings and None) go cell by cell through _fmt.  For each
-        _ROWS rows, every column becomes a block of NUL-padded cells; the
-        blocks are stacked between rows of separators, transposed into rows
-        once, and the pads deleted.  Row chunks keep every temporary small.
+        _ROWS rows, every column becomes a block of NUL-padded cells; a float
+        block keeps only the byte planes some cell of it uses (a mixed one
+        keeps all of them); the blocks are stacked between rows of
+        separators, transposed into rows once, and the pads deleted, so only
+        NULs are dropped early.  Row chunks keep every temporary small.
         A float first column is rendered whole, reusing what it shares with
         the cached one (_first_cells_of).
         """
         blocks = []
-        for col in columns:
-            if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+        for col, is_float in zip(columns, floats):
+            if is_float:
                 blocks.append(col if blocks else self._first_cells_of(col))
             else:
                 cells = np.array([_fmt(v).encode() for v in col], dtype=bytes)
@@ -197,11 +206,13 @@ class _Manifest:
             fh.write(header.encode() + b"\n")
             for i in range(0, blocks[0].shape[-1], _ROWS):
                 stack = []
-                for block, sep in zip(blocks, seps):
+                for block, is_float, sep in zip(blocks, floats, seps):
                     if block.ndim == 1:
                         cells = _float_cells(block[i:i + _ROWS])
                     else:
                         cells = block[:, i:i + _ROWS]
+                    if is_float:  # only the byte planes some cell uses
+                        cells = cells[cells.any(axis=1)]
                     stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
                 fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
         self.outputs.append(name)
@@ -454,7 +465,9 @@ def _apply_config(path: Path, commands: dict) -> None:
     An entry key = value fills --key (underscores read as dashes) in every
     subcommand that has it, so flags given on the command line, in any
     spelling, still win over the file, and argparse converts the string
-    through the option's type.  Switches take true or false.
+    through the option's type.  Switches take true or false.  A key that is
+    an option of no subcommand is a usage error; one file can serve several
+    commands, so a key that only some of them have is not.
     """
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
@@ -466,10 +479,11 @@ def _apply_config(path: Path, commands: dict) -> None:
             raise UsageError(f"config line is not key=value: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        for sp in commands.values():
-            action = sp._option_string_actions.get(flag)
-            if action is None:
-                continue
+        actions = [sp._option_string_actions[flag] for sp in commands.values()
+                   if flag in sp._option_string_actions]
+        if not actions:
+            raise UsageError(f"config key {key!r} is an option of no command")
+        for action in actions:
             if action.nargs == 0:
                 if val.lower() not in ("true", "false"):
                     raise UsageError(f"config entry {key} must be true or false")

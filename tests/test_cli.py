@@ -215,10 +215,12 @@ class TestFloatColumns:
     def check(tmp_path, x):
         x = np.asarray(x, dtype=np.float64)
         _Manifest("test", {}, str(tmp_path)).write_csv("x.csv", "x", x)
-        got = (tmp_path / "x.csv").read_text().split("\n")
+        text = (tmp_path / "x.csv").read_text()
         want = ["x", *map("{:.6g}".format, x.tolist()), ""]
-        bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
-        assert len(got) == len(want) and not bad, [(x[i - 1], got[i]) for i in bad[:5]]
+        if text != "\n".join(want):  # the lines that differ, only on failure
+            got = text.split("\n")
+            bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+            assert len(got) == len(want) and not bad, [(x[i - 1], got[i]) for i in bad[:5]]
 
     @pytest.mark.slow
     def test_random_bit_patterns(self, tmp_path):
@@ -246,6 +248,46 @@ class TestFloatColumns:
             0.0099999951, 9999995.0, 1e-5, 1e-4, 1e5, 1e6, 1e-16, 9.99999e26, 1e27,
             0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308,
         ])
+
+
+class TestBytePlanes:
+    """Chunks and columns whose cells use different sets of byte planes (sign,
+    "0.000" prefix, digits and points, exponent) keep the _fmt bytes."""
+
+    @staticmethod
+    def chunk(rng, kind, n):
+        if kind == "fixed":  # positive, point >= 0, no exponent
+            return rng.uniform(1.0, 1e5, n)
+        if kind == "negative":
+            return -rng.uniform(1.0, 1e3, n)
+        if kind == "below_one":  # [1e-4, 1): a "0.000" prefix
+            return 10.0 ** rng.uniform(-4.0, 0.0, n)
+        if kind == "mixed":
+            return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, 3.0, n)
+        # "exponent" and "python": mostly scientific notation
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+        if kind == "python":  # cells formatted by Python one at a time
+            x[:8] = [np.nan, np.inf, -np.inf, 123456.5, 5e-324, -2.2e-310, 1e27, -3e300]
+        return x
+
+    def test_plane_sets_change_between_chunks_and_columns(self, tmp_path):
+        rng = np.random.default_rng(30)
+        n = cli._ROWS
+        kinds = [("fixed", "fixed", "fixed"),  # no sign, prefix or exponent plane
+                 ("negative", "below_one", "mixed"),
+                 ("exponent", "python", "python")]
+        columns = [np.concatenate([self.chunk(rng, row[j], n) for row in kinds])[:-1000]
+                   for j in range(3)]
+        # the cached first column's cells end mid-chunk; the rendered tail
+        # after them is positive and fixed, the other columns' tails negative
+        extended = [np.concatenate([columns[0], self.chunk(rng, "fixed", 2000)])]
+        extended += [np.concatenate([c, self.chunk(rng, "negative", 2000)]) for c in columns[1:]]
+        man = _Manifest("test", {}, str(tmp_path))
+        for name, cols in (("a.csv", columns), ("b.csv", extended)):
+            man.write_csv(name, "t,u,v", *cols)
+            rows = zip(*(map(_fmt, col) for col in cols))
+            want = "\n".join(["t,u,v", *map(",".join, rows)]) + "\n"
+            assert (tmp_path / name).read_text() == want, name
 
 
 class TestFirstColumnReuse:
@@ -517,6 +559,15 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "toy", "--h", "0.5"]) == 0
         assert float(parse_kv(capsys.readouterr().out)["c_star"]) == pytest.approx(
             0.6562, abs=5e-4)
+
+    @pytest.mark.parametrize("text, key", [("k = 1.2\nt_ed = 100\n", "t_ed"),
+                                           ("seed = 3\n", "seed")])
+    def test_key_of_no_command_is_usage_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "toy", "--k", "1.2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:") and repr(key) in err
 
     @pytest.mark.parametrize("text", ["k 1.2\n", "k = 1.2\nlimits = yes\n"])
     def test_malformed_entry_is_usage_error(self, tmp_path, capsys, text):
