@@ -186,8 +186,11 @@ class _Manifest:
         [1e-16, 1e27)) are formatted by Python.  Other columns (which may mix
         floats, strings and None) go cell by cell through _fmt.  For each
         _ROWS rows, every column becomes a block of NUL-padded cells; a float
-        block keeps only the byte planes some cell of it uses (a mixed one
-        keeps all of them); the blocks are stacked between rows of
+        block keeps only the byte planes some cell of it uses.  A mixed block
+        keeps all of them: it is padded to its longest cell, so within one
+        chunk (all of curves.csv and table.csv) no plane is empty, and testing
+        its planes pages in numpy code that raised the peak RSS of repeated
+        `curves` runs by ~0.3 MB.  The blocks are stacked between rows of
         separators, transposed into rows once, and the pads deleted, so only
         NULs are dropped early.  Row chunks keep every temporary small.
         A float first column is rendered whole, reusing what it shares with
