@@ -24,8 +24,8 @@ from .chareq import (
 )
 from .errors import AccuracyError, DomainError
 from .kernels import KernelGrid, N_kernel, apply_N_operator, psi_kernel, theta_kernel
-from .pdesim import SimConfig, SimResult, estimate_speed, init_cauchy, cn_step, run
-from .speedcurves import SpeedCurveSample, c_bound_curve, in_region_Dstar, sample_curves
+from .pdesim import SimConfig, SimResult, init_cauchy, cn_step, run
+from .speedcurves import SpeedCurveSample, c_bound_curve, sample_curves
 from .toyfront import (
     LimitQuantities,
     WaveProfile,
@@ -33,7 +33,6 @@ from .toyfront import (
     build_profile,
     limit_quantities,
     minimal_speed,
-    nondelay_minimal_speed,
     oscillation_threshold,
     pushed_to_pulled_delay,
     ratio_T,
@@ -60,15 +59,12 @@ __all__ = [
     "cn_step",
     "count_zeros_right_of",
     "double_root_speed",
-    "estimate_speed",
     "eval_char",
     "h_star",
-    "in_region_Dstar",
     "init_cauchy",
     "limit_quantities",
     "minimal_speed",
     "N_kernel",
-    "nondelay_minimal_speed",
     "oscillation_threshold",
     "psi_kernel",
     "pushed_to_pulled_delay",

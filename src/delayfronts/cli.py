@@ -144,14 +144,25 @@ class _Manifest:
         self.command = command
         self.params = {k: v for k, v in params.items() if not callable(v)}
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
         self.outputs: list[str] = []
         # a float first column written earlier, as float64 bits, and its cells
         self._first_bits = np.empty(0, np.uint64)
         self._first_cells = np.empty((_CELL, 0), np.uint8)
 
+    def _open(self, name: str):
+        """Open output file name for writing; a path that cannot be opened is a usage error."""
+        try:
+            return open(self.dir / name, "wb")
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.dir / name}: {exc.strerror}") from None
+
     def write_text(self, name: str, text: str) -> None:
-        (self.dir / name).write_text(text)
+        with self._open(name) as fh:
+            fh.write(text.encode())
         self.outputs.append(name)
 
     def _first_cells_of(self, col: np.ndarray) -> np.ndarray:
@@ -205,7 +216,7 @@ class _Manifest:
                 cells = np.array([_fmt(v).encode() for v in col], dtype=bytes)
                 blocks.append(cells.view(np.uint8).reshape(len(cells), cells.itemsize).T)
         seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-        with open(self.dir / name, "wb") as fh:
+        with self._open(name) as fh:
             fh.write(header.encode() + b"\n")
             for i in range(0, blocks[0].shape[-1], _ROWS):
                 stack = []
@@ -227,7 +238,8 @@ class _Manifest:
             "version": __version__,
             "outputs": self.outputs,
         }
-        (self.dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
+        with self._open("manifest.json") as fh:
+            fh.write((json.dumps(doc, indent=2) + "\n").encode())
 
 
 def _cmd_roots(args) -> int:
@@ -470,11 +482,14 @@ def _apply_config(path: Path, commands: dict) -> None:
     spelling, still win over the file, and argparse converts the string
     through the option's type.  Switches take true or false.  A key that is
     an option of no subcommand is a usage error; one file can serve several
-    commands, so a key that only some of them have is not.
+    commands, so a key that only some of them have is not.  A file that
+    cannot be read as UTF-8 text is a usage error too.
     """
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

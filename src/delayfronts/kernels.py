@@ -161,7 +161,7 @@ def psi_kernel(
         c, 1.0, 0.0, -gk, psi0, (c - mu2) * psi0 + gk * left[mu2][0], dt, n_pos, m,
         amp * np.exp(mu1 * (0.5 * np.arange(-2 * m, 1)) * dt),
     )
-    y = y - sum(_mode_part(y, dy, c, h, gk, lam, dt, m, left[lam]) for lam in left)
+    y = y - sum(_mode_part(y, dy, c, h, lam, dt, m, left[lam]) for lam in left)
 
     t_neg = -dt * np.arange(n_neg, 0, -1)
     t = np.concatenate([t_neg, s])

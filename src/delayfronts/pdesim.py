@@ -52,7 +52,6 @@ __all__ = [
     "init_cauchy",
     "cn_step",
     "run",
-    "estimate_speed",
 ]
 
 _LEVEL = 1.0  # the tracked level, kappa/2
@@ -450,6 +449,7 @@ def _march(config: SimConfig):
 
 
 def _fit(traj: np.ndarray):
+    """The line through the trailing half of (t, x) rows: (|slope|, RMS residual, window)."""
     i0 = len(traj) // 2
     if len(traj) - i0 < 100:
         raise DomainError(f"insufficient data: the fit window holds {len(traj) - i0} of "
@@ -460,13 +460,3 @@ def _fit(traj: np.ndarray):
     rms = float(np.sqrt(np.mean((xx - A @ coef) ** 2)))
     return abs(float(coef[0])), rms, (float(tt[0]), float(tt[-1]))
 
-
-def estimate_speed(level_trajectory: np.ndarray) -> tuple[float, float]:
-    """Least-squares speed magnitude over the trailing half of a trajectory, as run() fits.
-
-    Returns (c_ns, fit_residual) where the residual is the RMS deviation
-    from the fitted line.
-    """
-    traj = np.asarray(level_trajectory, dtype=float)
-    c_ns, rms, _ = _fit(traj)
-    return c_ns, rms

@@ -22,7 +22,6 @@ __all__ = [
     "SpeedCurveSample",
     "h_star",
     "c_bound_curve",
-    "in_region_Dstar",
     "sample_curves",
 ]
 
@@ -67,15 +66,6 @@ def c_bound_curve(h: float, slope_kappa: float) -> float:
     if h == h_hat:
         return 0.0
     return -ln / np.sqrt(h * (1.0 + h + ln))
-
-
-def in_region_Dstar(h: float, c: float, slope_kappa: float, mu2: float) -> bool:
-    """Comparison condition 1 + h*g'(kappa)*exp(-mu2*c*h) > 0.
-
-    mu2 must be the negative root returned by roots_at_kappa at (c, h).
-    Holds automatically for every c when h <= h_star.
-    """
-    return 1.0 + h * slope_kappa * np.exp(-mu2 * c * h) > 0.0
 
 
 def _one_sample(h: float, params: ModelParams) -> SpeedCurveSample:

@@ -37,7 +37,6 @@ __all__ = [
     "WaveProfile",
     "LimitQuantities",
     "birth_rate",
-    "nondelay_minimal_speed",
     "ratio_T",
     "minimal_speed",
     "amplitude_p",
@@ -45,7 +44,6 @@ __all__ = [
     "limit_quantities",
     "pushed_to_pulled_delay",
     "oscillation_threshold",
-    "junction_derivative",
 ]
 
 _EPS = np.finfo(float).eps
@@ -76,18 +74,6 @@ def birth_rate(u, k: float, out=None):
     out = np.subtract(4.0, u, out=out if given else np.empty(u.shape))
     np.multiply(u, k, out=out, where=u < 1.0)
     return out if given or out.ndim else out[()]
-
-
-def nondelay_minimal_speed(k: float) -> tuple[float, str]:
-    """Minimal speed of the non-delayed model.
-
-    (1+k)/sqrt(2(3-k)) with a pushed front for k in (1, 5/3]; the linear
-    value 2*sqrt(k-1) with a pulled front for k above 5/3.
-    """
-    chareq._check_k(k)
-    if k <= 5.0 / 3.0:
-        return (1.0 + k) / math.sqrt(2.0 * (3.0 - k)), "pushed"
-    return 2.0 * math.sqrt(k - 1.0), "pulled"
 
 
 def _tail_roots(c: float, h: float, k: float) -> tuple[float, float, float]:
@@ -162,14 +148,6 @@ def _amplitude(k: float, lam1: float, lam2: float, mu1: float) -> float:
     if s <= 4e-12:
         return 0.0
     return s / (1.0 + k) * (mu1 - lam2) / (lam1 - lam2)
-
-
-def junction_derivative(c: float, h: float, k: float) -> float:
-    """Closed-form profile slope at the junction, (1+k) phi'(-ch) =
-    (3-k)(mu1 - lam1 - lam2) + 4 lam1 lam2 / mu1.  Positive for every
-    admissible speed."""
-    lam1, lam2, mu1 = _tail_roots(c, h, k)
-    return ((3.0 - k) * (mu1 - lam1 - lam2) + 4.0 * lam1 * lam2 / mu1) / (1.0 + k)
 
 
 def _tail(t, ch, p, lam1, lam2, order=0):
@@ -278,12 +256,13 @@ def _delay_rk4(r, s, const, w, a0, b0, dt, n, m, history):
     return np.array(a), np.array(b)
 
 
-def _mode_part(y, dy, c, h, s, lam, dt, m, left=None):
-    """The e^{lam t} part of y, a solution of y'' = c y' + y - s y(t - ch),
-    for a real root lam of its chi, on the nodes i dt (ch = m dt): a/chi'(lam),
-    where the bilinear form (Hale & Verduyn Lunel 1993, ch. 7)
+def _mode_part(y, dy, c, h, lam, dt, m, left=None):
+    """The e^{lam t} part of y, a solution of y'' = c y' + y + y(t - ch), the
+    linearization at kappa (g'(kappa) = -1), for a real root lam of its chi,
+    on the nodes i dt (ch = m dt): a/chi'(lam), where the bilinear form
+    (Hale & Verduyn Lunel 1993, ch. 7)
 
-        a(t) = (lam - c) y + y' - s int_{t-ch}^t e^{-lam (u - t + ch)} y(u) du
+        a(t) = (lam - c) y + y' + int_{t-ch}^t e^{-lam (u - t + ch)} y(u) du
 
     obeys a' = lam a, is chi'(lam) e^{lam t} on that mode and 0 on the others.
     Over the nodes the integral is the trapezoid with the Euler-Maclaurin end
@@ -297,10 +276,10 @@ def _mode_part(y, dy, c, h, s, lam, dt, m, left=None):
     wl, g = w[i - lo], dy - lam * y
     window = dt * (np.convolve(y, w)[: len(y)] - 0.5 * (w[0] * y + wl * y[lo]))
     window -= dt * dt / 12.0 * (w[0] * g - wl * g[lo])
-    a = (lam - c) * y + dy - s * (window if left is None else window + left)
+    a = (lam - c) * y + dy + (window if left is None else window + left)
     if left is None:
         a[:m] = a[m] * np.exp(lam * dt * np.arange(-m, 0)) if len(y) > m else 0.0
-    return a / chareq.eval_char_dz(lam, c, h, s)
+    return a / chareq.eval_char_dz(lam, c, h, -1.0)
 
 
 def _stop_time(mu1: float) -> float:
@@ -360,7 +339,7 @@ def build_profile(
             phi, v = _delay_rk4(c, 1.0, -4.0, 1.0, phi0, v0, dt, n, m,
                                 tail(0.5 * np.arange(-2 * m, 1) * dt))
             # phi - 2 solves y'' = c y' + y + y(t - ch)
-            mode = _mode_part(phi - 2.0, v, c, h, -1.0, mu1, dt, m)
+            mode = _mode_part(phi - 2.0, v, c, h, mu1, dt, m)
             phi, v = phi - mode, v - mu1 * mode
         else:
             # phi - 2 solves y'' = c y' + 2 y: without e^{mu1 t}, B e^{(c - mu1) t}

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from delayfronts import ModelParams, c_kappa_curve, h_star
+from delayfronts import ModelParams, c_kappa_curve, chareq, h_star
 
 # reproducible examples and no per-example deadline on a loaded host
 settings.register_profile("delayfronts", derandomize=True, deadline=None)
@@ -28,3 +30,15 @@ def sample_dkappa(rng: np.random.Generator, n: int):
             continue
         out.append((float(rng.uniform(0.2, c_cap)), float(h)))
     return out
+
+
+def nondelay_minimal_speed(k: float) -> tuple[float, str]:
+    """Minimal speed of the non-delayed model, the h = 0 oracle of minimal_speed.
+
+    (1+k)/sqrt(2(3-k)) with a pushed front for k in (1, 5/3]; the linear
+    value 2*sqrt(k-1) with a pulled front for k above 5/3.
+    """
+    chareq._check_k(k)
+    if k <= 5.0 / 3.0:
+        return (1.0 + k) / math.sqrt(2.0 * (3.0 - k)), "pushed"
+    return 2.0 * math.sqrt(k - 1.0), "pulled"

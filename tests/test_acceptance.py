@@ -19,7 +19,6 @@ from delayfronts import (
     h_star,
     limit_quantities,
     minimal_speed,
-    nondelay_minimal_speed,
     oscillation_threshold,
     psi_kernel,
     pushed_to_pulled_delay,
@@ -27,7 +26,7 @@ from delayfronts import (
     roots_at_kappa,
     run,
 )
-from conftest import sample_dkappa
+from conftest import nondelay_minimal_speed, sample_dkappa
 
 SPEED_TABLE = {
     0.5: (0.5720, 0.6562), 1.0: (0.4270, 0.4770), 1.5: (0.3420, 0.3779),

@@ -577,6 +577,43 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("usage error:")
 
 
+class TestUnusablePaths:
+    """An --out or --config path that cannot be used is a usage error that
+    names it, not a traceback."""
+
+    @staticmethod
+    def assert_usage_error(argv, path, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self.assert_usage_error(["profile", "--k", "1.2", "--h", "0.5", "--out", str(out)],
+                                out, capsys)
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub"
+        self.assert_usage_error(["profile", "--k", "1.2", "--h", "0.5", "--out", str(out)],
+                                out, capsys)
+
+    def test_output_file_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "profile.csv").mkdir()
+        self.assert_usage_error(["profile", "--k", "1.2", "--h", "0.5", "--out", str(tmp_path)],
+                                tmp_path / "profile.csv", capsys)
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.assert_usage_error(["toy", "--k", "1.2", "--config", str(tmp_path)], tmp_path, capsys)
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 1.2\n\xff\xfe\n")
+        self.assert_usage_error(["toy", "--k", "1.2", "--config", str(cfg)], cfg, capsys)
+
+
 class TestExitCodes:
     def test_seed_rejected(self, capsys):
         assert main(["--seed", "7", "toy", "--k", "1.2"]) == 3

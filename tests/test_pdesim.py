@@ -9,7 +9,6 @@ from delayfronts import (
     DomainError,
     SimConfig,
     cn_step,
-    estimate_speed,
     init_cauchy,
     minimal_speed,
     pdesim,
@@ -234,7 +233,7 @@ class TestEstimateSpeed:
     def test_exact_line(self):
         t = np.linspace(0.0, 10.0, 500)
         traj = np.column_stack([t, -0.5 * t + 3.0])
-        c, res = estimate_speed(traj)
+        c, res, _ = pdesim._fit(traj)
         assert c == pytest.approx(0.5, abs=1e-12)
         assert res == pytest.approx(0.0, abs=1e-12)
 
@@ -242,7 +241,7 @@ class TestEstimateSpeed:
         t = np.linspace(0.0, 1.0, 50)
         traj = np.column_stack([t, -t])
         with pytest.raises(DomainError, match="insufficient"):
-            estimate_speed(traj)
+            pdesim._fit(traj)
 
 
 class TestRun:
@@ -464,7 +463,7 @@ class TestBlockedRun:
         assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots]
         for (_, got), (_, want) in zip(res.snapshots, snapshots):
             assert np.array_equal(got, want)
-        assert (res.c_ns, res.fit_residual) == estimate_speed(traj)
+        assert (res.c_ns, res.fit_residual, res.fit_window) == pdesim._fit(traj)
         i0 = len(traj) // 2
         assert res.fit_window == (traj[i0, 0], traj[-1, 0])
 

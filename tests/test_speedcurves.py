@@ -12,7 +12,6 @@ from delayfronts import (
     c_bound_curve,
     c_kappa_curve,
     h_star,
-    in_region_Dstar,
     roots_at_kappa,
     sample_curves,
 )
@@ -92,6 +91,15 @@ class TestCBoundCurve:
         grid = np.linspace(hs * 1.001, 1.0, 200)
         vals = [c_bound_curve(h, -1.0) for h in grid]
         assert np.all(np.diff(vals) < 0)
+
+
+def in_region_Dstar(h: float, c: float, slope_kappa: float, mu2: float) -> bool:
+    """Comparison condition 1 + h*g'(kappa)*exp(-mu2*c*h) > 0.
+
+    mu2 must be the negative root returned by roots_at_kappa at (c, h).
+    Holds automatically for every c when h <= h_star.
+    """
+    return 1.0 + h * slope_kappa * np.exp(-mu2 * c * h) > 0.0
 
 
 class TestRegionDstar:

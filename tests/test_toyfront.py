@@ -16,7 +16,6 @@ from delayfronts import (
     double_root_speed,
     limit_quantities,
     minimal_speed,
-    nondelay_minimal_speed,
     oscillation_threshold,
     pushed_to_pulled_delay,
     ratio_T,
@@ -31,8 +30,8 @@ from delayfronts.toyfront import (
     _pushed_end,
     _pushed_slope,
     birth_rate,
-    junction_derivative,
 )
+from conftest import nondelay_minimal_speed
 
 
 class TestNondelayMinimalSpeed:
@@ -55,6 +54,14 @@ class TestNondelayMinimalSpeed:
         for k in (1.0, 3.0, 0.5):
             with pytest.raises(DomainError):
                 nondelay_minimal_speed(k)
+
+    @pytest.mark.parametrize("k", [1.05, 1.2, 1.6, 5.0 / 3.0 - 1e-3, 5.0 / 3.0 + 1e-3, 2.0, 2.9])
+    def test_minimal_speed_at_zero_delay(self, k):
+        # minimal_speed(0, k) is the closed form on both sides of k = 5/3
+        c, regime = minimal_speed(0.0, k)
+        closed, closed_regime = nondelay_minimal_speed(k)
+        assert regime == closed_regime
+        assert c == pytest.approx(closed, abs=1e-14)
 
 
 def _where_birth_rate(u, k):
@@ -325,6 +332,14 @@ class TestAmplitude:
             amplitude_p(0.9, 0.5, 1.2)
 
 
+def junction_derivative(c: float, h: float, k: float) -> float:
+    """Closed-form profile slope at the junction, (1+k) phi'(-ch) =
+    (3-k)(mu1 - lam1 - lam2) + 4 lam1 lam2 / mu1.  Positive for every
+    admissible speed."""
+    lam1, lam2, mu1 = toyfront._tail_roots(c, h, k)
+    return ((3.0 - k) * (mu1 - lam1 - lam2) + 4.0 * lam1 * lam2 / mu1) / (1.0 + k)
+
+
 class TestJunctionDerivative:
     def test_pushed_slope_is_lambda1(self):
         c, _ = minimal_speed(0.5, 1.2)
@@ -421,8 +436,7 @@ class TestBuildProfile:
         prof = build_profile(c, 0.0, k, grid_step=grid_step)
         y = prof.phi - 2.0
         np.testing.assert_allclose(prof.dphi, (c - prof.mu1) * y, rtol=0.0, atol=1e-15)
-        mode = toyfront._mode_part(y, prof.dphi, c, 0.0, -1.0, prof.mu1,
-                                   prof.grid_step, 0)
+        mode = toyfront._mode_part(y, prof.dphi, c, 0.0, prof.mu1, prof.grid_step, 0)
         assert np.max(np.abs(mode)) <= 1e-15
         assert prof.residual_max <= 1e-6
 
