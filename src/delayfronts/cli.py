@@ -160,11 +160,6 @@ class _Manifest:
         except OSError as exc:
             raise UsageError(f"cannot write {self.dir / name}: {exc.strerror}") from None
 
-    def write_text(self, name: str, text: str) -> None:
-        with self._open(name) as fh:
-            fh.write(text.encode())
-        self.outputs.append(name)
-
     def _first_cells_of(self, col: np.ndarray) -> np.ndarray:
         """The cells of a float first column, (_CELL, n) as _float_cells gives
         them.  Those of its longest common prefix with the cached column,
@@ -187,59 +182,53 @@ class _Manifest:
         return cells
 
     def write_csv(self, name: str, header: str, *columns) -> None:
-        """Write equal-length columns as CSV rows under a header line.
+        """Write equal-length columns as CSV rows under a header line; each
+        cell has the bytes _fmt gives it.
 
-        A float array column is rendered by array arithmetic (_float_cells):
-        each value scaled by an exact power of ten and rounded to six digits,
-        which gives Python's correctly rounded digits, so the bytes are those
-        _fmt gives each cell.  Cells the arithmetic cannot decide exactly
-        (within 1e-8 of a rounding tie, NaN, infinities, |x| outside
-        [1e-16, 1e27)) are formatted by Python.  Other columns (which may mix
-        floats, strings and None) go cell by cell through _fmt.  For each
-        _ROWS rows, every column becomes a block of NUL-padded cells; a float
-        block keeps only the byte planes some cell of it uses.  A mixed block
-        keeps all of them: it is padded to its longest cell, so within one
-        chunk (all of curves.csv and table.csv) no plane is empty, and testing
-        its planes pages in numpy code that raised the peak RSS of repeated
-        `curves` runs by ~0.3 MB.  The blocks are stacked between rows of
-        separators, transposed into rows once, and the pads deleted, so only
-        NULs are dropped early.  Row chunks keep every temporary small.
-        A float first column is rendered whole, reusing what it shares with
-        the cached one (_first_cells_of).
+        A table of float arrays only is rendered by array arithmetic
+        (_float_cells): each value scaled by an exact power of ten and rounded
+        to six digits, which gives Python's correctly rounded digits.  Cells
+        the arithmetic cannot decide exactly (within 1e-8 of a rounding tie,
+        NaN, infinities, |x| outside [1e-16, 1e27)) are formatted by Python.
+        For each _ROWS rows, every column becomes a block of NUL-padded cells
+        that keeps only the byte planes some cell of it uses; the blocks are
+        stacked between rows of separators, transposed into rows once, and
+        the pads deleted, so only NULs are dropped early.  Row chunks keep
+        every temporary small.  The first column is rendered whole, reusing
+        what it shares with the cached one (_first_cells_of).  Any other
+        table (curves.csv and table.csv mix numbers, error strings, None and
+        bools) is written by joining the _fmt cells of each row.
         """
-        blocks = []
-        floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
-        for col, is_float in zip(columns, floats):
-            if is_float:
-                blocks.append(col if blocks else self._first_cells_of(col))
-            else:
-                cells = np.array([_fmt(v).encode() for v in col], dtype=bytes)
-                blocks.append(cells.view(np.uint8).reshape(len(cells), cells.itemsize).T)
-        seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
         with self._open(name) as fh:
             fh.write(header.encode() + b"\n")
-            for i in range(0, blocks[0].shape[-1], _ROWS):
-                stack = []
-                for block, is_float, sep in zip(blocks, floats, seps):
-                    if block.ndim == 1:
-                        cells = _float_cells(block[i:i + _ROWS])
-                    else:
-                        cells = block[:, i:i + _ROWS]
-                    if is_float:  # only the byte planes some cell uses
-                        cells = cells[cells.any(axis=1)]
-                    stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
-                fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
+            if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
+                first = self._first_cells_of(columns[0])
+                seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+                for i in range(0, first.shape[1], _ROWS):
+                    stack = []
+                    for j, (col, sep) in enumerate(zip(columns, seps)):
+                        cells = _float_cells(col[i:i + _ROWS]) if j else first[:, i:i + _ROWS]
+                        cells = cells[cells.any(axis=1)]  # only the byte planes some cell uses
+                        stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
+                    fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
+            else:
+                rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+                fh.write("".join(rows).encode())
+        self.outputs.append(name)
+
+    def write_json(self, name: str, doc: dict) -> None:
+        with self._open(name) as fh:
+            fh.write((json.dumps(doc, indent=2) + "\n").encode())
         self.outputs.append(name)
 
     def finalize(self) -> None:
-        doc = {
+        """Write manifest.json, which lists the outputs written before it."""
+        self.write_json("manifest.json", {
             "command": self.command,
             "parameters": self.params,
             "version": __version__,
             "outputs": self.outputs,
-        }
-        with self._open("manifest.json") as fh:
-            fh.write((json.dumps(doc, indent=2) + "\n").encode())
+        })
 
 
 def _cmd_roots(args) -> int:
@@ -268,7 +257,8 @@ def _cmd_curves(args) -> int:
     steps = (args.h_max - args.h_min) / args.h_step  # inf on overflow
     if not steps <= _MAX_STEPS:
         raise DomainError(f"a curves grid of {steps:.3g} steps is over the cap {_MAX_STEPS:.0e}")
-    grid = [args.h_min + i * args.h_step for i in range(int(round(steps)) + 1)]
+    # the last grid point not past h_max, allowing for rounding in steps
+    grid = [args.h_min + i * args.h_step for i in range(int(steps + 1e-9) + 1)]
     man = _Manifest("curves", vars(args), args.out)
     samples = speedcurves.sample_curves(grid, params)
     # a failed row keeps only h; its error goes in the c_sharp cell, as in table.csv
@@ -320,7 +310,7 @@ def _cmd_profile(args) -> int:
         "in_region_Dkappa": prof.in_region_Dkappa,
         "residual_max": prof.residual_max,
     }
-    man.write_text("profile.json", json.dumps(header, indent=2) + "\n")
+    man.write_json("profile.json", header)
     man.finalize()
     return 0
 
@@ -358,21 +348,14 @@ def _cmd_simulate(args) -> int:
     x = cfg.x_min + cfg.dx * np.arange(cfg.n_points)
     for t_snap, u in res.snapshots:
         man.write_csv(f"snapshot_t{_fmt(t_snap)}.csv", "x,u", x, u)
-    man.write_text(
-        "result.json",
-        json.dumps(
-            {
-                "c_ns": res.c_ns,
-                "fit_window": list(res.fit_window),
-                "fit_residual": res.fit_residual,
-                "u_min": res.u_min,
-                "u_max": res.u_max,
-                "t_final": res.t_final,
-            },
-            indent=2,
-        )
-        + "\n",
-    )
+    man.write_json("result.json", {
+        "c_ns": res.c_ns,
+        "fit_window": list(res.fit_window),
+        "fit_residual": res.fit_residual,
+        "u_min": res.u_min,
+        "u_max": res.u_max,
+        "t_final": res.t_final,
+    })
     man.finalize()
     return 0
 
@@ -399,7 +382,8 @@ def _cmd_table(args) -> int:
 
 
 def _build_parser() -> tuple[_Parser, dict]:
-    parser = _Parser(prog="delayfronts",
+    # no abbreviations: a shortened --config would slip past main's pre-parse
+    parser = _Parser(prog="delayfronts", allow_abbrev=False,
                      description="Traveling-front laboratory for the delayed "
                                  "monostable reaction-diffusion equation")
     parser.add_argument("--seed", help=argparse.SUPPRESS)

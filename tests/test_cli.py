@@ -150,6 +150,19 @@ class TestCurves:
         assert errors == [h for h in hs if h > 1e20]
         assert len(errors) == sum(",error:" in r for r in rows) == 90
 
+    # 0.13 / 0.05 = 2.6 steps ends at 0.1, not 0.15; 6 / 0.05 and 0.3 / 0.1
+    # fall just below an integer number of steps, which still counts
+    @pytest.mark.parametrize("h_min, h_max, h_step, n_rows", [
+        ("0", "0.13", "0.05", 3), ("0", "6", "0.05", 121), ("0", "0.3", "0.1", 4),
+        ("0.1", "0.1", "0.05", 1),
+    ])
+    def test_grid_stops_at_h_max(self, tmp_path, h_min, h_max, h_step, n_rows):
+        assert main(["curves", "--k", "1.2", "--h-min", h_min, "--h-max", h_max,
+                     "--h-step", h_step, "--out", str(tmp_path)]) == 0
+        hs = [float(r.split(",")[0]) for r in (tmp_path / "curves.csv").read_text().split()[1:]]
+        assert len(hs) == n_rows and hs[0] == float(h_min)
+        assert max(hs) <= float(h_max) * (1 + 1e-12)
+
     def test_jobs_accepted_and_ignored(self, tmp_path):
         # rows always run in-process; --jobs only stays parseable
         texts = []
@@ -375,6 +388,10 @@ class TestCsvBytes:
          "ecbdabbff78b5d49805f7013193cc34ab6e4b840f6fec62d67a1a2c5b0361327"),
         (["table", "--k", "1.2", "--rows", "0.5,2"], "table.csv",
          "0ad37cff0bac3e48f6a8ad942f7d084b868746524c6ff8b0a0854138e5b6e185"),
+        (["curves", "--k", "1.5"], "curves.csv",  # pulled rows
+         "cc744d08e04684f808a1b6a0865c677d4a82a975b72f9e8ece39e5c4fa270424"),
+        (["table", "--k", "1.2", "--rows", "0.5,-1"], "table.csv",  # an error row
+         "86515412e052aaf52b9164da8cc49f37e59fb667c3a799bec764d0e55470be0a"),
     ])
     def test_mixed_columns_keep_their_bytes(self, tmp_path, argv, name, sha256):
         # digests of the files as the per-cell string-joining writer wrote them
@@ -550,6 +567,14 @@ class TestConfigFile:
         kv = parse_kv(capsys.readouterr().out)
         assert "T1_inf" in kv  # limits=true applied
 
+    # only the full --config spelling is read, so a shortened one is refused
+    @pytest.mark.parametrize("flag, name", [("--conf", "run.cfg"), ("--con", "missing.cfg")])
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys, flag, name):
+        (tmp_path / "run.cfg").write_text("k = 1.2\nh = 0.5\n")
+        assert main([flag, str(tmp_path / name), "toy", "--k", "1.2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error:")
+
     def test_missing_config_file_is_usage_error(self):
         assert main(["--config", "/nonexistent.cfg", "toy", "--k", "1.2"]) == 3
 
@@ -625,11 +650,12 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 3
 
-    def test_domain_error_exit_code(self, capsys):
+    def test_domain_error_exit_code(self, capsys, tmp_path):
         # c below the region boundary requirement for kernels
-        assert main(["kernel", "--k", "1.2", "--c", "2.5", "--h", "1",
-                     "--out", "/tmp/df-domain-err"]) == 1
+        out = tmp_path / "out"
+        assert main(["kernel", "--k", "1.2", "--c", "2.5", "--h", "1", "--out", str(out)]) == 1
         assert "domain error" in capsys.readouterr().err
+        assert not out.exists()  # psi_kernel raises before the output directory is made
 
     def test_accuracy_error_exit_code(self, capsys, tmp_path):
         # a grid step far too coarse for the normalization contract
