@@ -149,9 +149,6 @@ class _Manifest:
         except OSError as exc:
             raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
         self.outputs: list[str] = []
-        # a float first column written earlier, as float64 bits, and its cells
-        self._first_bits = np.empty(0, np.uint64)
-        self._first_cells = np.empty((_CELL, 0), np.uint8)
 
     def _open(self, name: str):
         """Open output file name for writing; a path that cannot be opened is a usage error."""
@@ -159,27 +156,6 @@ class _Manifest:
             return open(self.dir / name, "wb")
         except OSError as exc:
             raise UsageError(f"cannot write {self.dir / name}: {exc.strerror}") from None
-
-    def _first_cells_of(self, col: np.ndarray) -> np.ndarray:
-        """The cells of a float first column, (_CELL, n) as _float_cells gives
-        them.  Those of its longest common prefix with the cached column,
-        compared bit for bit (-0.0 and 0.0 render differently, and a NaN
-        equals nothing), are taken from the cached cells; the rest are
-        rendered, _ROWS at a time, and the column becomes the cached one
-        unless it was the cached column or a prefix of it.  The kernel
-        command's three CSVs share N's t column, of which psi's is a prefix."""
-        bits = np.asarray(col, dtype=np.float64).view(np.uint64)
-        m = min(len(bits), len(self._first_bits))
-        differ = np.flatnonzero(bits[:m] != self._first_bits[:m])
-        k = differ[0] if differ.size else m
-        if k == len(bits):
-            return self._first_cells[:, :k]
-        cells = np.empty((_CELL, len(bits)), np.uint8)
-        cells[:, :k] = self._first_cells[:, :k]
-        for i in range(k, len(bits), _ROWS):
-            cells[:, i:i + _ROWS] = _float_cells(col[i:i + _ROWS])
-        self._first_bits, self._first_cells = bits.copy(), cells
-        return cells
 
     def write_csv(self, name: str, header: str, *columns) -> None:
         """Write equal-length columns as CSV rows under a header line; each
@@ -194,20 +170,18 @@ class _Manifest:
         that keeps only the byte planes some cell of it uses; the blocks are
         stacked between rows of separators, transposed into rows once, and
         the pads deleted, so only NULs are dropped early.  Row chunks keep
-        every temporary small.  The first column is rendered whole, reusing
-        what it shares with the cached one (_first_cells_of).  Any other
-        table (curves.csv and table.csv mix numbers, error strings, None and
-        bools) is written by joining the _fmt cells of each row.
+        every temporary small.  Any other table (curves.csv and table.csv
+        mix numbers, error strings, None and bools) is written by joining
+        the _fmt cells of each row.
         """
         with self._open(name) as fh:
             fh.write(header.encode() + b"\n")
             if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
-                first = self._first_cells_of(columns[0])
                 seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-                for i in range(0, first.shape[1], _ROWS):
+                for i in range(0, len(columns[0]), _ROWS):
                     stack = []
-                    for j, (col, sep) in enumerate(zip(columns, seps)):
-                        cells = _float_cells(col[i:i + _ROWS]) if j else first[:, i:i + _ROWS]
+                    for col, sep in zip(columns, seps):
+                        cells = _float_cells(col[i:i + _ROWS])
                         cells = cells[cells.any(axis=1)]  # only the byte planes some cell uses
                         stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
                     fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
@@ -259,8 +233,8 @@ def _cmd_curves(args) -> int:
         raise DomainError(f"a curves grid of {steps:.3g} steps is over the cap {_MAX_STEPS:.0e}")
     # the last grid point not past h_max, allowing for rounding in steps
     grid = [args.h_min + i * args.h_step for i in range(int(steps + 1e-9) + 1)]
-    man = _Manifest("curves", vars(args), args.out)
     samples = speedcurves.sample_curves(grid, params)
+    man = _Manifest("curves", vars(args), args.out)
     # a failed row keeps only h; its error goes in the c_sharp cell, as in table.csv
     rows = [(s.h, s.c_sharp if s.error is None else f"error:{s.error}", s.c_kappa,
              s.c_bound, s.c_star, s.regime, s.monotone_front) for s in samples]
@@ -374,6 +348,7 @@ def _table_row(h: float, k: float, t_end: float) -> tuple:
 
 def _cmd_table(args) -> int:
     rows = _floats(args.rows, "--rows")
+    chareq._check_k(args.k)  # one bad k would fail every row
     man = _Manifest("table", vars(args), args.out)
     results = [_table_row(h, args.k, args.t_end) for h in rows]
     man.write_csv("table.csv", "h,c_sharp,c_star,c_ns", *zip(*results))
@@ -503,6 +478,15 @@ def main(argv=None) -> int:
         pre = _Parser(add_help=False, allow_abbrev=False)
         pre.add_argument("--config")
         known, argv = pre.parse_known_args(argv)
+        # argparse would set an unknown option before the command aside and
+        # report its value as an invalid command, so name the option here
+        for tok in argv:
+            if tok in commands or tok == "--":
+                break
+            flag = tok.split("=", 1)[0]
+            if (tok.startswith("-") and flag not in parser._option_string_actions
+                    and not parser._negative_number_matcher.match(tok)):
+                raise UsageError(f"unrecognized option {flag} before the command")
         if known.config is not None:
             _apply_config(Path(known.config), commands)
         args = parser.parse_args(argv)

@@ -262,6 +262,24 @@ class TestFloatColumns:
             0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308,
         ])
 
+    @staticmethod
+    def marked_column():
+        t = np.random.default_rng(27).standard_normal(9000)  # three _ROWS chunks
+        t[10] = -0.0  # == 0.0, but prints "-0"
+        t.view(np.uint64)[20] = 0x7FF8_0000_0000_0001  # a NaN with a payload
+        t.view(np.uint64)[8000] = 0xFFF8_0000_0000_0000  # a negative NaN
+        return t
+
+    def test_signed_zero_and_nan_payloads_across_chunks(self, tmp_path):
+        t = self.marked_column()
+        self.check(tmp_path, t)
+        assert b"\n-0\n" in (tmp_path / "x.csv").read_bytes()
+
+    @pytest.mark.parametrize("view", [lambda t: np.vstack([t, -t]).T[:, 0],  # every other float
+                                      lambda t: t[:0]], ids=["strided", "empty"])
+    def test_strided_and_empty_columns(self, tmp_path, view):
+        self.check(tmp_path, view(self.marked_column()))
+
 
 class TestBytePlanes:
     """Chunks and columns whose cells use different sets of byte planes (sign,
@@ -291,8 +309,9 @@ class TestBytePlanes:
                  ("exponent", "python", "python")]
         columns = [np.concatenate([self.chunk(rng, row[j], n) for row in kinds])[:-1000]
                    for j in range(3)]
-        # the cached first column's cells end mid-chunk; the rendered tail
-        # after them is positive and fixed, the other columns' tails negative
+        # b.csv's columns run on past a.csv's last, partial chunk: the first
+        # with a positive fixed tail, the others with negative ones.  Both go
+        # through one _Manifest, which carries nothing from one file to the next
         extended = [np.concatenate([columns[0], self.chunk(rng, "fixed", 2000)])]
         extended += [np.concatenate([c, self.chunk(rng, "negative", 2000)]) for c in columns[1:]]
         man = _Manifest("test", {}, str(tmp_path))
@@ -301,62 +320,6 @@ class TestBytePlanes:
             rows = zip(*(map(_fmt, col) for col in cols))
             want = "\n".join(["t,u,v", *map(",".join, rows)]) + "\n"
             assert (tmp_path / name).read_text() == want, name
-
-
-class TestFirstColumnReuse:
-    """A float first column reuses the cells it shares, bit for bit, with the
-    one a _Manifest cached; its file stays that of a fresh _Manifest."""
-
-    @pytest.fixture
-    def rendered(self, monkeypatch):
-        """The lengths of the columns _float_cells renders."""
-        lengths = []
-        float_cells = cli._float_cells
-
-        def counted(col):
-            lengths.append(len(col))
-            return float_cells(col)
-
-        monkeypatch.setattr(cli, "_float_cells", counted)
-        return lengths
-
-    def test_files_match_a_fresh_manifest(self, tmp_path, rendered):
-        rng = np.random.default_rng(27)
-        t = rng.standard_normal(9000)  # three _ROWS chunks
-        t[[10, 5000]] = 0.0
-        t[[20, 8000]] = np.nan
-        signed = t.copy()
-        signed[10] = -0.0  # == 0.0, but prints "-0"
-        payload = t.copy()
-        payload.view(np.uint64)[20] = 0x7FF8_0000_0000_0001  # another NaN
-        payload.view(np.uint64)[8000] = 0xFFF8_0000_0000_0000  # a negative one
-        ext = np.concatenate([t, rng.standard_normal(300)])
-        strided = np.vstack([t, -t]).T[:, 0]  # t's bits, every other float
-        # (first column, how many of its cells are rendered, not reused); a
-        # column equal to the cached one or a prefix of it leaves the cache be
-        cases = [(t, 9000), (t.copy(), 0), (ext, 300), (t[:4500], 0), (t, 0),
-                 (signed, 8990), (t, 8990), (payload, 8980), (t, 8980),
-                 (rng.standard_normal(50), 50), (strided, 9000), (t, 0), (t[:0], 0),
-                 (t[:4500], 0), (ext, 300)]
-        man = _Manifest("test", {}, str(tmp_path / "shared"))
-        for i, (col, n_rendered) in enumerate(cases):
-            rendered.clear()
-            man.write_csv(f"{i}.csv", "t,v", col, np.arange(len(col), dtype=np.float64))
-            assert sum(rendered) - len(col) == n_rendered, i
-            _Manifest("test", {}, str(tmp_path / "fresh")).write_csv(
-                f"{i}.csv", "t,v", col, np.arange(len(col), dtype=np.float64))
-            fresh = (tmp_path / "fresh" / f"{i}.csv").read_bytes()
-            assert (tmp_path / "shared" / f"{i}.csv").read_bytes() == fresh, i
-        assert b"\n-0," in (tmp_path / "shared" / "5.csv").read_bytes()
-
-    def test_kernel_command_renders_t_once(self, tmp_path, rendered):
-        assert main(["kernel", "--k", "1.2", "--c", "0.5", "--h", "1", "--out", str(tmp_path)]) == 0
-        rows = {name: len((tmp_path / name).read_bytes().splitlines()) - 1
-                for name in ("psi.csv", "theta.csv", "n.csv")}
-        assert rows["psi.csv"] < rows["n.csv"] == rows["theta.csv"]
-        # psi's t and values, the rest of N's t, then theta's and N's values
-        p, n = rows["psi.csv"], rows["n.csv"]
-        assert sum(rendered) == 2 * p + (n - p) + 2 * n
 
 
 class TestCsvBytes:
@@ -568,12 +531,14 @@ class TestConfigFile:
         assert "T1_inf" in kv  # limits=true applied
 
     # only the full --config spelling is read, so a shortened one is refused
+    # by name (argparse set it aside and blamed its value: "invalid choice")
     @pytest.mark.parametrize("flag, name", [("--conf", "run.cfg"), ("--con", "missing.cfg")])
     def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys, flag, name):
         (tmp_path / "run.cfg").write_text("k = 1.2\nh = 0.5\n")
         assert main([flag, str(tmp_path / name), "toy", "--k", "1.2"]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("usage error:")
+        assert out == "" and err.startswith("usage error:") and flag in err
+        assert name not in err and "Traceback" not in err
 
     def test_missing_config_file_is_usage_error(self):
         assert main(["--config", "/nonexistent.cfg", "toy", "--k", "1.2"]) == 3
@@ -656,6 +621,18 @@ class TestExitCodes:
         assert main(["kernel", "--k", "1.2", "--c", "2.5", "--h", "1", "--out", str(out)]) == 1
         assert "domain error" in capsys.readouterr().err
         assert not out.exists()  # psi_kernel raises before the output directory is made
+
+    # both made their output directory before failing; table wrote one error row per delay
+    @pytest.mark.parametrize("argv, message", [
+        (["curves", "--k", "1.2", "--h-min", "-1", "--h-max", "-0.9"],
+         "delays must be nonnegative"),
+        (["table", "--k", "5", "--rows", "0.5"], "k must lie in (1, 3)"),
+    ], ids=["curves", "table"])
+    def test_failing_command_leaves_no_output_directory(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_accuracy_error_exit_code(self, capsys, tmp_path):
         # a grid step far too coarse for the normalization contract
