@@ -82,10 +82,13 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _float_cells(col: np.ndarray) -> np.ndarray:
     """The cells "{:.6g}".format(v) of a float column, as (_CELL, n) NUL-padded bytes.
 
-    For 1e-16 <= |x| < 1e27, m = |x| 10^(5 - e) with 10^e <= |x| < 10^(e + 1)
-    is one correctly rounded operation on exact numbers, so within 5.9e-11 of
+    For 1e-16 <= |x| < 1e27, m = |x| 10^(5 - e) with e = floor(log10|x|) is
+    one correctly rounded operation on exact numbers, so within 5.9e-11 of
     its exact value: unless that lies within 1e-8 of a tie, rounding m to an
     integer gives the six digits of Python's correctly rounded formatting.
+    log10 errs by a few ulps at most, so where e is one off, |x| is within
+    a few ulps of a power of ten and m within 1e-8 of 1e5 or 1e6: there
+    rounding, with the carry of 1e6 to 1e5, gives the same digits.
     Near-ties, NaN, infinities and |x| outside that range are formatted by
     Python one at a time; zeros get the digits 000000.  The sign, "0.000"
     prefix and exponent planes are computed only when some cell is negative,
@@ -97,10 +100,6 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     s = np.where(scalable, a, 1.0)
     e = np.floor(np.log10(s)).astype(np.int32)
     m = _scaled(s, e)
-    off = np.flatnonzero((m < 1e5) | (m >= 1e6))  # log10 rounded across a power of 10
-    if off.size:
-        e[off] += np.where(m[off] < 1e5, -1, 1).astype(np.int32)
-        m[off] = _scaled(s[off], e[off])
     n = np.rint(m).astype(np.int32)
     carry = n == 1_000_000
     n[carry] = 100_000
@@ -293,7 +292,7 @@ def _cmd_kernel(args) -> int:
     params = ModelParams.toy(args.k)
     psi = kernels.psi_kernel(args.c, args.h, params, t_max=args.t_max,
                              step=args.step)
-    nker = kernels._convolve_theta(psi, params)
+    nker = kernels.N_kernel(psi, params)
     man = _Manifest("kernel", vars(args), args.out)
     theta_vals = kernels.theta_kernel(nker.t, psi.mu2)
     for name, grid_t, grid_v in (

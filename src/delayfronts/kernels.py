@@ -174,36 +174,20 @@ def psi_kernel(
     return KernelGrid(t, vals, dt, 1.0, mu1, mu2, mu3, end)
 
 
-def N_kernel(
-    c: float,
-    h: float,
-    params: ModelParams,
-    t_max: float | None = None,
-    step: float | None = None,
-) -> KernelGrid:
-    """The convolution N = psi * theta on psi's uniform grid.
-
-    N solves D1 N = N' - mu2 N = psi (theta is D1's fundamental solution):
-    exactly before 0 and past psi's forward window, where psi is a single
-    exponential, and by a cumulative trapezoid (second order in the step)
-    inside it.  The result is trimmed where it falls below 1e-13 of the
-    peak, must stay strictly negative, and its trapezoid mass must
-    reproduce 1/(g'(kappa)-1) to 1e-4 (AccuracyError otherwise).
-    """
-    return _convolve_theta(psi_kernel(c, h, params, t_max=t_max, step=step), params)
-
-
-def _convolve_theta(psi: KernelGrid, params: ModelParams) -> KernelGrid:
-    """N = psi * theta from an existing psi grid (the body of N_kernel).
+def N_kernel(psi: KernelGrid, params: ModelParams) -> KernelGrid:
+    """The convolution N = psi * theta on the grid of psi (from psi_kernel).
 
     N is the solution of D1 N = N' - mu2 N = psi that vanishes at -inf,
     continuous at 0 where psi jumps.  Before 0, psi = amp e^{mu1 t} with
     amp its left limit, so N = amp e^{mu1 t}/(mu1 - mu2) exactly.  On psi's
     forward window [0, T], N(t) = e^{mu2 t} (N(0) + int_0^t e^{-mu2 s}
-    psi(s) ds), one cumulative trapezoid.  Past T, psi = a e^{mu3 t}
-    (amplitude matched at its last sample; zero at h = 0), and
-    N = e^{mu2 (t-T)} (N(T) - A) + A e^{mu3 (t-T)} with A = psi(T)/(mu3 - mu2),
-    carried on until the e^{mu2 t} mode has decayed by e^{-23}.
+    psi(s) ds), one cumulative trapezoid (second order in the step).  Past
+    T, psi = a e^{mu3 t} (amplitude matched at its last sample; zero at
+    h = 0), and N = e^{mu2 (t-T)} (N(T) - A) + A e^{mu3 (t-T)} with
+    A = psi(T)/(mu3 - mu2), carried on until the e^{mu2 t} mode has decayed
+    by e^{-23}.  The result is trimmed where it falls below 1e-13 of the
+    peak, must stay strictly negative, and its trapezoid mass must
+    reproduce 1/(g'(kappa)-1) to 1e-4 (AccuracyError otherwise).
     """
     dt, mu1, mu2 = psi.step, psi.mu1, psi.mu2
     n_neg = psi.index_of_zero()
@@ -264,7 +248,7 @@ def apply_N_operator(
     dt = float(t_grid[1] - t_grid[0])
     if not np.allclose(np.diff(t_grid), dt, rtol=0.0, atol=1e-9 * dt):
         raise DomainError("input grid must be uniform")
-    kern = N_kernel(c, h, params, step=dt)
+    kern = N_kernel(psi_kernel(c, h, params, step=dt), params)
     dt = kern.step
     ch = c * h
     shift = int(round(ch / dt))

@@ -51,13 +51,18 @@ _EPS = np.finfo(float).eps
 # by this over eps its seed outgrows a decaying tail such as psi's
 _UNSTABLE_TOL = 1e-8
 _CRITICAL_GAP = 1e-8
-# build_profile's residual gate and the smallest step that can pass it: the
+# build_profile's residual gate and the smallest steps that can pass it: the
 # five-point phi'' sums phi values over 12 dt^2, so its round-off is of order
-# eps/(12 dt^2).  Measured residual * dt^2: 1.19-1.48 eps on full profiles
-# (k = 1.05-2.99, h = 0-6), down to 0.11 eps on windows t_max cuts to a few
-# nodes (passing at dt = 8e-6); below the floor, 4.3e-6, even that fails.
+# eps/(12 dt^2).  Measured residual * dt^2: 1.30-3.2 eps on 240 full windows
+# (k = 1.05-2.99, h = 0-6, two speeds each, dt from 1.3e-5 to the default),
+# so none passes below _DT_FLOOR_FULL = 1.7e-5; down to 0.11 eps on windows
+# t_max cuts to a few nodes (passing at dt = 8e-6), and below _DT_FLOOR =
+# 4.3e-6 even those fail.  A failing residual under _ROUNDOFF_MAX eps/dt^2
+# is round-off, which a finer step only raises.
 _RESIDUAL_TOL = 1e-6
+_ROUNDOFF_MAX = 8.0
 _DT_FLOOR = math.sqrt(_EPS / (12.0 * _RESIDUAL_TOL))
+_DT_FLOOR_FULL = math.sqrt(1.29 * _EPS / _RESIDUAL_TOL)
 
 
 def birth_rate(u, k: float, out=None):
@@ -311,8 +316,9 @@ def build_profile(
     user grid_step is snapped to the nearest exact divisor of ch.  Structural
     guarantees (checked on the projected phi): phi < 3 everywhere, phi > 1
     after the junction, scaled residual at or below 1e-6.  A grid_step or
-    t_max that is not positive, or a step below _DT_FLOOR, too fine for the
-    residual check, is a DomainError.
+    t_max that is not positive, or a step too fine for the residual check
+    (below _DT_FLOOR_FULL on a full window, _DT_FLOOR on one t_max cuts), is
+    a DomainError.
     """
     _check_positive(t_max=t_max, grid_step=grid_step)
     lam1, lam2, mu1 = _tail_roots(c, h, k)
@@ -322,9 +328,11 @@ def build_profile(
     target = grid_step if grid_step else 1e-3 * max(1.0, 1.0 / c)
     m = max(16, int(np.ceil(ch / target))) if h > 0.0 else 0
     dt = ch / m if m else target
-    if dt < _DT_FLOOR:  # round-off alone would fail the residual check
-        raise DomainError(f"profile step {dt:.3g} is below the floor {_DT_FLOOR:.2g}")
     T_stop = _stop_time(mu1)
+    floor = _DT_FLOOR_FULL if t_max is None or t_max >= T_stop else _DT_FLOOR
+    if dt < floor:
+        raise DomainError(f"profile step {dt:.3g} is below the floor {floor:.2g}, "
+                          "where round-off alone fails the residual check")
     if t_max is not None:
         T_stop = min(T_stop, t_max)
     n = max(int(np.ceil(T_stop / dt)), 8)
@@ -356,9 +364,9 @@ def build_profile(
         )
     residual_max = _profile_residual(t, phi, c, h, m, dt, tail)
     if not residual_max <= _RESIDUAL_TOL:
-        raise AccuracyError(
-            f"profile residual {residual_max:.2e} above 1e-6; use a smaller grid_step"
-        )
+        advice = ("the step is too fine: this is round-off, use a larger grid_step"
+                  if residual_max * dt * dt < _ROUNDOFF_MAX * _EPS else "use a smaller grid_step")
+        raise AccuracyError(f"profile residual {residual_max:.2e} above 1e-6; {advice}")
     if not (phi.max() < 3.0 and phi0 < 3.0):
         raise AccuracyError("profile exceeded the a priori bound 3")
     interior = phi[1:] if h == 0.0 else phi  # h = 0 puts the junction at t = 0

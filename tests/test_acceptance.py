@@ -120,7 +120,7 @@ def test_06_kernel_properties(toy12):
         jump = psi.values[i0] - left
         worst_jump = max(worst_jump, abs(jump - 1.0))
         assert jump == pytest.approx(1.0, abs=1e-12), (c, h)
-        nker = N_kernel(c, h, toy12)
+        nker = N_kernel(psi, toy12)
         assert nker.values.max() < 0.0, (c, h)
         mass = np.trapezoid(nker.values, nker.t)
         worst_mass = max(worst_mass, abs(mass + 0.5))

@@ -256,10 +256,16 @@ class TestFloatColumns:
         self.check(tmp_path, np.concatenate([m + 0.25, m + 0.75, -(m + 0.75) / 2**10]))
 
     def test_carries_and_special_values(self, tmp_path):
+        # each power of ten 1e-16..1e27, where log10 may round across it, and its
+        # 1- and 2-ulp neighbours on both sides, in both signs
+        tens = np.array([float(f"1e{k}") for k in range(-16, 28)])
+        up, down = np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)
+        near = np.concatenate([tens, up, np.nextafter(up, np.inf), down, np.nextafter(down, 0.0)])
         self.check(tmp_path, [
             9.999995e-5, 9.9999949e-5, 9.9999951e-5, 999999.5, 999999.49999, 99999.95,
             0.0099999951, 9999995.0, 1e-5, 1e-4, 1e5, 1e6, 1e-16, 9.99999e26, 1e27,
             0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308,
+            *near, *-near,
         ])
 
     @staticmethod

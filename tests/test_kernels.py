@@ -14,7 +14,7 @@ from delayfronts import (
     theta_kernel,
 )
 from delayfronts.chareq import eval_char_dz
-from delayfronts.kernels import _SUPPORT_DECADES, _convolve_theta, _require_region
+from delayfronts.kernels import _SUPPORT_DECADES, _require_region
 
 from conftest import sample_dkappa
 
@@ -141,8 +141,10 @@ class TestPsi:
     # e^{mu2 t} tail; the refusal comes before either is allocated
     @pytest.mark.parametrize("kernel,c,h", [
         (psi_kernel, 1e-3, 1e-3),
-        (N_kernel, 1e-3, 1e-3),
-        (N_kernel, 1e4, 1e-6),
+        pytest.param(lambda c, h, p: N_kernel(psi_kernel(c, h, p), p), 1e-3, 1e-3,
+                     id="N_kernel-0.001-0.001"),
+        pytest.param(lambda c, h, p: N_kernel(psi_kernel(c, h, p), p), 1e4, 1e-6,
+                     id="N_kernel-10000.0-1e-06"),
     ])
     def test_grid_over_node_cap_refused(self, toy12, kernel, c, h):
         with pytest.raises(DomainError, match="would exceed"):
@@ -154,7 +156,7 @@ class TestN:
         # two-exponential convolution: -e^{mu1 t}/(mu1-mu2) backward,
         # -e^{mu2 t}/(mu1-mu2) forward, total mass 1/(mu1 mu2) = -1/2
         c = 1.0
-        grid = N_kernel(c, 0.0, toy12)
+        grid = N_kernel(psi_kernel(c, 0.0, toy12), toy12)
         mu1, mu2 = 2.0, -1.0
         expected = np.where(
             grid.t < 0.0,
@@ -167,7 +169,7 @@ class TestN:
     @pytest.mark.parametrize("c,h", SEED0_POINTS)
     def test_closed_form_before_zero(self, toy12, c, h):
         # D1 N = psi with psi = amp e^{mu1 t} on t < 0 gives N = amp e^{mu1 t}/(mu1 - mu2)
-        grid = N_kernel(c, h, toy12)
+        grid = N_kernel(psi_kernel(c, h, toy12), toy12)
         r = roots_at_kappa(c, h, toy12)
         amp = -(r.mu1 - r.mu2) / eval_char_dz(r.mu1, c, h, -1.0)
         back = grid.t <= 0.0
@@ -181,7 +183,7 @@ class TestN:
         # is the O(dt^2) extrapolation error, so it falls fourfold as dt halves
         gaps = []
         for m in (100, 200):
-            grid = N_kernel(c, h, toy12, step=c * h / m)
+            grid = N_kernel(psi_kernel(c, h, toy12, step=c * h / m), toy12)
             i0, v = grid.index_of_zero(), grid.values
             gaps.append(abs(2.0 * v[i0 + 1] - v[i0 + 2] - v[i0]) / np.max(np.abs(v)))
         assert gaps[1] < 2e-5
@@ -193,7 +195,7 @@ class TestN:
         residuals = []
         for m in (100, 200):
             psi = psi_kernel(c, h, toy12, step=c * h / m)
-            grid = _convolve_theta(psi, toy12)
+            grid = N_kernel(psi, toy12)
             j0, i0 = psi.index_of_zero(), grid.index_of_zero()
             n = len(psi.t) - j0
             v = grid.values[i0 : i0 + n]
@@ -206,13 +208,13 @@ class TestN:
     @pytest.mark.parametrize("c,h", SEED0_POINTS)
     def test_seed0_mass_error(self, toy12, c, h):
         # 5.5e-7 to 7.3e-7 measured; the FFT convolution gave 2.9e-6 to 4.5e-6
-        grid = N_kernel(c, h, toy12)
+        grid = N_kernel(psi_kernel(c, h, toy12), toy12)
         assert abs(np.trapezoid(grid.values, grid.t) + 0.5) < 1e-6
 
     def test_negative_and_normalized_on_draws(self, toy12):
         rng = np.random.default_rng(29)
         for c, h in sample_dkappa(rng, 15):
-            grid = N_kernel(c, h, toy12)
+            grid = N_kernel(psi_kernel(c, h, toy12), toy12)
             assert grid.values.max() < 0.0, (c, h)
             mass = np.trapezoid(grid.values, grid.t)
             assert mass == pytest.approx(-0.5, abs=1e-4), (c, h)
@@ -221,7 +223,7 @@ class TestN:
         c, h = 0.5, 1.0
         errs = []
         for m in (50, 100, 200):
-            grid = N_kernel(c, h, toy12, step=c * h / m)
+            grid = N_kernel(psi_kernel(c, h, toy12, step=c * h / m), toy12)
             errs.append(abs(np.trapezoid(grid.values, grid.t) + 0.5))
         assert errs[0] > errs[2]  # order >= 1 overall
 
@@ -230,19 +232,19 @@ class TestN:
         # without the e^{mu2 t} projection psi turned positive near its tail
         # cutoff, and at (5, 0.2), (4, 0.3) and (8, 0.1) T_stop, not the tail
         # cutoff, ends the window
-        grid = N_kernel(c, h, toy12)
+        grid = N_kernel(psi_kernel(c, h, toy12), toy12)
         assert abs(np.trapezoid(grid.values, grid.t) + 0.5) < 1e-5
 
     def test_coarse_step_raises_accuracy_error(self, toy12):
         with pytest.raises(AccuracyError, match="refine the step"):
-            N_kernel(0.5, 1.0, toy12, step=0.5 * 1.0 / 4.0)
+            N_kernel(psi_kernel(0.5, 1.0, toy12, step=0.5 * 1.0 / 4.0), toy12)
 
     @pytest.mark.parametrize("m", [200, 800])
     def test_short_t_max_is_named_as_the_cause(self, toy12, m):
         # psi cut before its e^{mu3 t} tail: no step refinement helps
         assert psi_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m).window_end == "t_max"
         with pytest.raises(AccuracyError, match="t_max = 0.2 cut psi") as err:
-            N_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m)
+            N_kernel(psi_kernel(0.5, 1.0, toy12, t_max=0.2, step=0.5 / m), toy12)
         assert "refine the step" not in str(err.value)
         assert psi_kernel(0.5, 1.0, toy12, t_max=5.0, step=0.5 / m).window_end == "tail"
 
@@ -253,7 +255,7 @@ class TestN:
         psi = psi_kernel(6.0, 0.3, toy12, step=1.8 / m)
         assert psi.window_end == "T_stop"
         with pytest.raises(AccuracyError, match=r"T_stop = 2\.86\d* cut psi") as err:
-            _convolve_theta(psi, toy12)
+            N_kernel(psi, toy12)
         assert "refine the step" not in str(err.value)
 
 

@@ -548,7 +548,11 @@ class TestBuildProfile:
         with pytest.raises(DomainError, match="must be positive"):
             build_profile(minimal_speed(h, 1.2)[0], h, 1.2, **kw)
 
-    @pytest.mark.parametrize("h,grid_step", [(1e-6, None), (0.0, 4e-6), (0.5, 4e-6)])
+    # the last three are full windows between the floor of t_max-cut windows,
+    # 4.3e-6, and that of full ones, which used to be computed in full
+    # (0.1-4 s) and then fail the residual gate
+    @pytest.mark.parametrize("h,grid_step", [(1e-6, None), (0.0, 4e-6), (0.5, 4e-6),
+                                             (0.0, 1.5e-5), (2e-4, None), (0.5, 1.5e-5)])
     def test_step_below_floor_refused_before_integrating(self, h, grid_step,
                                                          monkeypatch):
         def no_integration(*args):
@@ -558,6 +562,14 @@ class TestBuildProfile:
         c, _ = minimal_speed(h, 1.2)
         with pytest.raises(DomainError, match="below"):
             build_profile(c, h, 1.2, grid_step=grid_step)
+
+    def test_roundoff_failure_asks_for_a_larger_step(self):
+        # t_max cuts the window, so the step is above its floor; the residual,
+        # ~2 eps/dt^2, is round-off and a smaller step would only add to it
+        c, _ = minimal_speed(0.5, 1.2)
+        with pytest.raises(AccuracyError, match="too fine.*larger grid_step") as err:
+            build_profile(c, 0.5, 1.2, t_max=0.5, grid_step=8e-6)
+        assert "smaller" not in str(err.value)
 
     # steps just above the floor whose round-off still fails the 1e-6 gate
     # (residuals 1.5e-5 and 2.1e-6)
