@@ -136,75 +136,73 @@ def _float_cells(col: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Manifest:
-    """Collects outputs of one command and lands manifest.json at the end."""
-
-    def __init__(self, command: str, params: dict, out_dir: str):
-        self.command = command
-        self.params = {k: v for k, v in params.items() if not callable(v)}
-        self.dir = Path(out_dir)
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
-        self.outputs: list[str] = []
-
-    def _open(self, name: str):
-        """Open output file name for writing; a path that cannot be opened is a usage error."""
-        try:
-            return open(self.dir / name, "wb")
-        except OSError as exc:
-            raise UsageError(f"cannot write {self.dir / name}: {exc.strerror}") from None
-
-    def write_csv(self, name: str, header: str, *columns) -> None:
-        """Write equal-length columns as CSV rows under a header line; each
-        cell has the bytes _fmt gives it.
-
-        A table of float arrays only is rendered by array arithmetic
-        (_float_cells): each value scaled by an exact power of ten and rounded
-        to six digits, which gives Python's correctly rounded digits.  Cells
-        the arithmetic cannot decide exactly (within 1e-8 of a rounding tie,
-        NaN, infinities, |x| outside [1e-16, 1e27)) are formatted by Python.
-        For each _ROWS rows, every column becomes a block of NUL-padded cells
-        that keeps only the byte planes some cell of it uses; the blocks are
-        stacked between rows of separators, transposed into rows once, and
-        the pads deleted, so only NULs are dropped early.  Row chunks keep
-        every temporary small.  Any other table (curves.csv and table.csv
-        mix numbers, error strings, None and bools) is written by joining
-        the _fmt cells of each row.
-        """
-        with self._open(name) as fh:
-            fh.write(header.encode() + b"\n")
-            if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
-                seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-                for i in range(0, len(columns[0]), _ROWS):
-                    stack = []
-                    for col, sep in zip(columns, seps):
-                        cells = _float_cells(col[i:i + _ROWS])
-                        cells = cells[cells.any(axis=1)]  # only the byte planes some cell uses
-                        stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
-                    fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
-            else:
-                rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
-                fh.write("".join(rows).encode())
-        self.outputs.append(name)
-
-    def write_json(self, name: str, doc: dict) -> None:
-        with self._open(name) as fh:
-            fh.write((json.dumps(doc, indent=2) + "\n").encode())
-        self.outputs.append(name)
-
-    def finalize(self) -> None:
-        """Write manifest.json, which lists the outputs written before it."""
-        self.write_json("manifest.json", {
-            "command": self.command,
-            "parameters": self.params,
-            "version": __version__,
-            "outputs": self.outputs,
-        })
+def _open(path: Path):
+    """Open an output file for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _cmd_roots(args) -> int:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write equal-length columns as CSV rows under a header line; each
+    cell has the bytes _fmt gives it.
+
+    A table of float arrays only is rendered by array arithmetic
+    (_float_cells): each value scaled by an exact power of ten and rounded
+    to six digits, which gives Python's correctly rounded digits.  Cells
+    the arithmetic cannot decide exactly (within 1e-8 of a rounding tie,
+    NaN, infinities, |x| outside [1e-16, 1e27)) are formatted by Python.
+    For each _ROWS rows, every column becomes a block of NUL-padded cells
+    that keeps only the byte planes some cell of it uses; the blocks are
+    stacked between rows of separators, transposed into rows once, and
+    the pads deleted, so only NULs are dropped early.  Row chunks keep
+    every temporary small.  Any other table (curves.csv and table.csv
+    mix numbers, error strings, None and bools) is written by joining
+    the _fmt cells of each row.
+    """
+    with _open(path) as fh:
+        fh.write(header.encode() + b"\n")
+        if all(isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns):
+            seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+            for i in range(0, len(columns[0]), _ROWS):
+                stack = []
+                for col, sep in zip(columns, seps):
+                    cells = _float_cells(col[i:i + _ROWS])
+                    cells = cells[cells.any(axis=1)]  # only the byte planes some cell uses
+                    stack += [cells, np.full((1, cells.shape[1]), sep, np.uint8)]
+                fh.write(np.vstack(stack).T.tobytes().translate(None, b"\0"))
+        else:
+            rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+            fh.write("".join(rows).encode())
+
+
+def _write_outputs(args, outputs: dict) -> None:
+    """Make --out, write each output in order, then manifest.json listing them.
+
+    An output is name -> (header, *columns) for a CSV, name -> dict for a
+    JSON document.
+    """
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {out}: {exc.strerror}") from None
+    manifest = {
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if not callable(v)},
+        "version": __version__,
+        "outputs": list(outputs),
+    }
+    for name, body in {**outputs, "manifest.json": manifest}.items():
+        if isinstance(body, dict):
+            with _open(out / name) as fh:
+                fh.write((json.dumps(body, indent=2) + "\n").encode())
+        else:
+            _write_csv(out / name, *body)
+
+
+def _cmd_roots(args) -> None:
     params = ModelParams.toy(args.k)
     r0 = chareq.roots_at_zero(args.c, args.h, params)
     rk = chareq.roots_at_kappa(args.c, args.h, params)
@@ -219,10 +217,9 @@ def _cmd_roots(args) -> int:
             ("in_region_Dkappa", rk.in_region_Dkappa),
         ]
     )
-    return 0
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> dict:
     params = ModelParams.toy(args.k)
     if not (np.isfinite([args.h_min, args.h_max, args.h_step]).all()
             and args.h_step > 0.0 and args.h_max >= args.h_min):
@@ -233,17 +230,14 @@ def _cmd_curves(args) -> int:
     # the last grid point not past h_max, allowing for rounding in steps
     grid = [args.h_min + i * args.h_step for i in range(int(steps + 1e-9) + 1)]
     samples = speedcurves.sample_curves(grid, params)
-    man = _Manifest("curves", vars(args), args.out)
     # a failed row keeps only h; its error goes in the c_sharp cell, as in table.csv
     rows = [(s.h, s.c_sharp if s.error is None else f"error:{s.error}", s.c_kappa,
              s.c_bound, s.c_star, s.regime, s.monotone_front) for s in samples]
-    man.write_csv("curves.csv", "h,c_sharp,c_kappa,c_bound,c_star,regime,monotone_front",
-                  *zip(*rows))
-    man.finalize()
-    return 0
+    return {"curves.csv": ("h,c_sharp,c_kappa,c_bound,c_star,regime,monotone_front",
+                           *zip(*rows))}
 
 
-def _cmd_toy(args) -> int:
+def _cmd_toy(args) -> None:
     pairs = []
     c_sharp, _ = chareq.double_root_speed(args.h, args.k)
     c_star, regime = toyfront.minimal_speed(args.h, args.k)
@@ -257,80 +251,78 @@ def _cmd_toy(args) -> int:
     if args.limits:
         pairs += vars(toyfront.limit_quantities(args.k)).items()  # in field order
     _print_kv(pairs)
-    return 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> dict:
     c = args.c
     if c is None:
         c, _ = toyfront.minimal_speed(args.h, args.k)
     prof = toyfront.build_profile(c, args.h, args.k, t_max=args.t_max,
                                   grid_step=args.grid_step)
-    man = _Manifest("profile", vars(args), args.out)
     tail_t = np.arange(-prof.c * prof.h - 10.0, 0.0, prof.grid_step)
-    man.write_csv("profile.csv", "t,phi,dphi",
-                  np.concatenate([tail_t, prof.t]),
-                  np.concatenate([prof.tail(tail_t), prof.phi]),
-                  np.concatenate([prof.tail_deriv(tail_t), prof.dphi]))
-    header = {
-        "c": prof.c,
-        "h": prof.h,
-        "k": prof.k,
-        "p": prof.p,
-        "lambda1": prof.lambda1,
-        "lambda2": prof.lambda2,
-        "classification": prof.classification,
-        "in_region_Dkappa": prof.in_region_Dkappa,
-        "residual_max": prof.residual_max,
+    return {
+        "profile.csv": ("t,phi,dphi",
+                        np.concatenate([tail_t, prof.t]),
+                        np.concatenate([prof.tail(tail_t), prof.phi]),
+                        np.concatenate([prof.tail_deriv(tail_t), prof.dphi])),
+        "profile.json": {
+            "c": prof.c,
+            "h": prof.h,
+            "k": prof.k,
+            "p": prof.p,
+            "lambda1": prof.lambda1,
+            "lambda2": prof.lambda2,
+            "classification": prof.classification,
+            "in_region_Dkappa": prof.in_region_Dkappa,
+            "residual_max": prof.residual_max,
+        },
     }
-    man.write_json("profile.json", header)
-    man.finalize()
-    return 0
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> dict:
     params = ModelParams.toy(args.k)
     psi = kernels.psi_kernel(args.c, args.h, params, t_max=args.t_max,
                              step=args.step)
     nker = kernels.N_kernel(psi, params)
-    man = _Manifest("kernel", vars(args), args.out)
-    theta_vals = kernels.theta_kernel(nker.t, psi.mu2)
-    for name, grid_t, grid_v in (
-        ("psi.csv", psi.t, psi.values),
-        ("theta.csv", nker.t, theta_vals),
-        ("n.csv", nker.t, nker.values),
-    ):
-        man.write_csv(name, "t,value", grid_t, grid_v)
-    man.finalize()
-    return 0
+    return {
+        "psi.csv": ("t,value", psi.t, psi.values),
+        "theta.csv": ("t,value", nker.t, kernels.theta_kernel(nker.t, psi.mu2)),
+        "n.csv": ("t,value", nker.t, nker.values),
+    }
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     snaps = _floats(args.snapshots, "--snapshots") if args.snapshots else ()
     cfg = pdesim.SimConfig(
         h=args.h, k=args.k, t_end=args.t_end, x_min=args.x_min, x_max=args.x_max,
         dx=args.dx, dt=args.dt, snapshot_times=snaps,
     )
+    named = {}  # file name -> (step, time) of the first snapshot given it
+    for ts in snaps:
+        n = round(ts / cfg.dt)
+        name = f"snapshot_t{_fmt(n * cfg.dt)}.csv"
+        n0, ts0 = named.setdefault(name, (n, ts))
+        if n0 != n:
+            raise UsageError(f"--snapshots {ts0!r} and {ts!r} fall on different steps "
+                             f"but would both be written to {name}")
     res = pdesim.run(cfg)
     for ts in snaps:
         if round(ts / cfg.dt) * cfg.dt > res.t_final:
             print(f"simulate: no snapshot at t={_fmt(ts)}: the run stopped at the "
                   f"left wall at t={_fmt(res.t_final)}", file=sys.stderr)
-    man = _Manifest("simulate", vars(args), args.out)
-    man.write_csv("trajectory.csv", "t,x_level", *res.level_trajectory.T)
+    outputs = {"trajectory.csv": ("t,x_level", *res.level_trajectory.T)}
     x = cfg.x_min + cfg.dx * np.arange(cfg.n_points)
     for t_snap, u in res.snapshots:
-        man.write_csv(f"snapshot_t{_fmt(t_snap)}.csv", "x,u", x, u)
-    man.write_json("result.json", {
+        outputs[f"snapshot_t{_fmt(t_snap)}.csv"] = ("x,u", x, u)
+    outputs["result.json"] = {
         "c_ns": res.c_ns,
         "fit_window": list(res.fit_window),
         "fit_residual": res.fit_residual,
         "u_min": res.u_min,
         "u_max": res.u_max,
         "t_final": res.t_final,
-    })
-    man.finalize()
-    return 0
+    }
+    return outputs
 
 
 def _table_row(h: float, k: float, t_end: float) -> tuple:
@@ -345,14 +337,11 @@ def _table_row(h: float, k: float, t_end: float) -> tuple:
     return h, c_sharp, c_star, c_ns
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> dict:
     rows = _floats(args.rows, "--rows")
-    chareq._check_k(args.k)  # one bad k would fail every row
-    man = _Manifest("table", vars(args), args.out)
+    ModelParams.toy(args.k)  # one bad k would fail every row
     results = [_table_row(h, args.k, args.t_end) for h in rows]
-    man.write_csv("table.csv", "h,c_sharp,c_star,c_ns", *zip(*results))
-    man.finalize()
-    return 0
+    return {"table.csv": ("h,c_sharp,c_star,c_ns", *zip(*results))}
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -360,7 +349,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="delayfronts", allow_abbrev=False,
                      description="Traveling-front laboratory for the delayed "
                                  "monostable reaction-diffusion equation")
-    parser.add_argument("--seed", help=argparse.SUPPRESS)
     parser.add_argument("--config", help="key=value file supplying defaults "
                                          "(explicit flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -489,9 +477,10 @@ def main(argv=None) -> int:
         if known.config is not None:
             _apply_config(Path(known.config), commands)
         args = parser.parse_args(argv)
-        if args.seed is not None:
-            raise UsageError("--seed is not accepted: every command is deterministic")
-        return args.fn(args)
+        outputs = args.fn(args)  # None from the commands that print
+        if outputs is not None:
+            _write_outputs(args, outputs)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

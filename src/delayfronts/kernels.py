@@ -51,11 +51,10 @@ class KernelGrid:
     """Uniform samples of a kernel, plus the jump size at t = 0.
 
     For psi the node at t = 0 stores the right limit and jump_at_zero is 1;
-    theta and N carry jump 0 (theta's unit step at 0 is its support edge,
-    not an interior jump of the stored grid).  window_end says what ended
-    psi's forward window: "t_max" (the caller's), "T_stop" (the unstable-mode
-    rule, toyfront._stop_time) or "tail" (its e^{mu3 t} tail cutoff, and at
-    h = 0, where psi vanishes past 0); it is None on theta and N grids.
+    N carries jump 0.  window_end says what ended psi's forward window:
+    "t_max" (the caller's), "T_stop" (the unstable-mode rule,
+    toyfront._stop_time) or "tail" (its e^{mu3 t} tail cutoff, and at h = 0,
+    where psi vanishes past 0); it is None on N grids.
     """
 
     t: np.ndarray

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from delayfronts import AccuracyError, cli, double_root_speed, kernels, pdesim, toyfront
-from delayfronts.cli import _Manifest, _fmt, main
+from delayfronts.cli import _fmt, _write_csv, main
 
 
 def parse_kv(output: str) -> dict:
@@ -19,6 +19,12 @@ def parse_kv(output: str) -> dict:
         key, val = line.split("=", 1)
         out[key] = val
     return out
+
+
+def assert_manifest_lists(out: Path, names: list[str]) -> None:
+    """manifest.json lists names, in write order, and they are the files present."""
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == names
+    assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == sorted(names)
 
 
 class TestRoots:
@@ -206,28 +212,25 @@ class TestWriteCsv:
         floats = [float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e-300,
                   123456.5, 1e16]
         ints = [0, -1, 7, 42, 10**7, 123456789, -5, 1]
-        man = _Manifest("test", {}, str(tmp_path))
-        man.write_csv("edge.csv", "x,n", np.array(floats), np.array(ints))
+        _write_csv(tmp_path / "edge.csv", "x,n", np.array(floats), np.array(ints))
         expected = "x,n\n" + "".join(f"{_fmt(x)},{_fmt(n)}\n" for x, n in zip(floats, ints))
         assert (tmp_path / "edge.csv").read_text() == expected
-        assert man.outputs == ["edge.csv"]
 
     def test_error_cell_leaves_other_cells_alone(self, tmp_path):
         # numpy would turn this column into strings and print 0.123456789 whole
-        man = _Manifest("test", {}, str(tmp_path))
-        man.write_csv("mixed.csv", "h,v,w", (0.5, 1.0), (0.123456789, "error:E: m"),
-                      (2.0 / 3.0, None))
+        _write_csv(tmp_path / "mixed.csv", "h,v,w", (0.5, 1.0), (0.123456789, "error:E: m"),
+                   (2.0 / 3.0, None))
         text = (tmp_path / "mixed.csv").read_text()
         assert text == "h,v,w\n0.5,0.123457,0.666667\n1,error:E: m,\n"
 
 
 class TestFloatColumns:
-    """A float column written by write_csv, byte for byte "{:.6g}" of each cell."""
+    """A float column written by _write_csv, byte for byte "{:.6g}" of each cell."""
 
     @staticmethod
     def check(tmp_path, x):
         x = np.asarray(x, dtype=np.float64)
-        _Manifest("test", {}, str(tmp_path)).write_csv("x.csv", "x", x)
+        _write_csv(tmp_path / "x.csv", "x", x)
         text = (tmp_path / "x.csv").read_text()
         want = ["x", *map("{:.6g}".format, x.tolist()), ""]
         if text != "\n".join(want):  # the lines that differ, only on failure
@@ -316,13 +319,12 @@ class TestBytePlanes:
         columns = [np.concatenate([self.chunk(rng, row[j], n) for row in kinds])[:-1000]
                    for j in range(3)]
         # b.csv's columns run on past a.csv's last, partial chunk: the first
-        # with a positive fixed tail, the others with negative ones.  Both go
-        # through one _Manifest, which carries nothing from one file to the next
+        # with a positive fixed tail, the others with negative ones.  Nothing
+        # of a.csv's chunks may carry over into b.csv's
         extended = [np.concatenate([columns[0], self.chunk(rng, "fixed", 2000)])]
         extended += [np.concatenate([c, self.chunk(rng, "negative", 2000)]) for c in columns[1:]]
-        man = _Manifest("test", {}, str(tmp_path))
         for name, cols in (("a.csv", columns), ("b.csv", extended)):
-            man.write_csv(name, "t,u,v", *cols)
+            _write_csv(tmp_path / name, "t,u,v", *cols)
             rows = zip(*(map(_fmt, col) for col in cols))
             want = "\n".join(["t,u,v", *map(",".join, rows)]) + "\n"
             assert (tmp_path / name).read_text() == want, name
@@ -338,14 +340,13 @@ class TestCsvBytes:
 
     def test_point_commands(self, tmp_path, monkeypatch):
         expected = {}
-        write_csv = _Manifest.write_csv
 
-        def with_oracle(self, name, header, *columns):
+        def with_oracle(path, header, *columns):
             rows = zip(*(map(_fmt, col) for col in columns))
-            expected[self.dir / name] = "\n".join([header, *map(",".join, rows)]) + "\n"
-            write_csv(self, name, header, *columns)
+            expected[path] = "\n".join([header, *map(",".join, rows)]) + "\n"
+            _write_csv(path, header, *columns)
 
-        monkeypatch.setattr(_Manifest, "write_csv", with_oracle)
+        monkeypatch.setattr(cli, "_write_csv", with_oracle)
         for i, argv in enumerate(self.POINT):
             assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
         assert len(expected) == 19
@@ -392,6 +393,7 @@ class TestProfileKernelSimulate:
         psi_rows = (out / "psi.csv").read_text().strip().split("\n")[1:]
         values = [float(r.split(",")[1]) for r in psi_rows]
         assert max(values) < 0.0
+        assert_manifest_lists(out, ["psi.csv", "theta.csv", "n.csv"])
 
     def test_kernel_computes_psi_once(self, tmp_path, monkeypatch):
         calls = []
@@ -417,6 +419,8 @@ class TestProfileKernelSimulate:
         assert (out / "snapshot_t20.csv").exists()
         traj = (out / "trajectory.csv").read_text().strip().split("\n")
         assert traj[0] == "t,x_level"
+        assert_manifest_lists(
+            out, ["trajectory.csv", "snapshot_t0.csv", "snapshot_t20.csv", "result.json"])
 
     def test_simulate_names_snapshots_past_the_wall_stop(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -429,6 +433,23 @@ class TestProfileKernelSimulate:
         assert err == ["simulate: no snapshot at t=100: the run stopped at the "
                        "left wall at t=31.96"]
         assert sorted(p.name for p in out.glob("snapshot_*")) == ["snapshot_t10.csv"]
+
+    # 100.0001 and 100.0002 both print as 100: the second snapshot overwrote
+    # the first and manifest.json listed snapshot_t100.csv twice
+    def test_simulate_refuses_snapshots_sharing_a_file_name(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("ran")
+
+        monkeypatch.setattr(pdesim, "run", no_run)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--k", "1.2", "--h", "0", "--dt", "1e-4",
+                     "--t-end", "100.0003", "--snapshots", "100.0001,100.0002",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "snapshot_t100.csv" in err
+        assert "100.0001" in err and "100.0002" in err
+        assert not out.exists()
 
     def test_table_single_row(self, tmp_path):
         out = tmp_path / "tab"
@@ -612,8 +633,10 @@ class TestUnusablePaths:
 
 class TestExitCodes:
     def test_seed_rejected(self, capsys):
-        assert main(["--seed", "7", "toy", "--k", "1.2"]) == 3
-        assert "deterministic" in capsys.readouterr().err
+        # no command takes --seed, before the command or after it
+        for argv in (["--seed", "7", "toy", "--k", "1.2"], ["toy", "--k", "1.2", "--seed", "7"]):
+            assert main(argv) == 3
+            assert "--seed" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["toy", "--k", "1.2", "--bogus"]) == 3
@@ -628,12 +651,16 @@ class TestExitCodes:
         assert "domain error" in capsys.readouterr().err
         assert not out.exists()  # psi_kernel raises before the output directory is made
 
-    # both made their output directory before failing; table wrote one error row per delay
+    # main makes --out only once a command has computed all its outputs;
+    # curves and table once made it before failing
     @pytest.mark.parametrize("argv, message", [
         (["curves", "--k", "1.2", "--h-min", "-1", "--h-max", "-0.9"],
          "delays must be nonnegative"),
         (["table", "--k", "5", "--rows", "0.5"], "k must lie in (1, 3)"),
-    ], ids=["curves", "table"])
+        (["profile", "--k", "1.2", "--c", "0.1", "--h", "0.5"], "below the linear speed"),
+        (["simulate", "--k", "1.2", "--h", "0.5", "--x-min", "25", "--x-max", "-25"],
+         "must span at least 3 cells"),
+    ], ids=["curves", "table", "profile", "simulate"])
     def test_failing_command_leaves_no_output_directory(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
