@@ -238,6 +238,7 @@ def _cmd_curves(args) -> dict:
 
 
 def _cmd_toy(args) -> None:
+    ModelParams.toy(args.k)  # refuse k as every other command does
     pairs = []
     c_sharp, _ = chareq.double_root_speed(args.h, args.k)
     c_star, regime = toyfront.minimal_speed(args.h, args.k)

@@ -28,7 +28,8 @@ import numpy as np
 from . import chareq
 from .chareq import ModelParams
 from .errors import AccuracyError, DomainError
-from .toyfront import _check_positive, _delay_rk4, _mode_part, _stop_time, birth_rate
+from .toyfront import (_check_nodes, _check_positive, _delay_rk4, _mode_part, _stop_time,
+                       birth_rate)
 
 __all__ = [
     "KernelGrid",
@@ -40,10 +41,6 @@ __all__ = [
 
 _SUPPORT_DECADES = 23.03  # e^-23.03 < 1e-10
 _RELATIVE_FLOOR = 1e-13
-# psi and N grids are refused above this many nodes, before allocation: peak
-# memory measured 32 bytes per psi node and 53-56 per N node (1.3-7.2 million
-# nodes at (c, h) = (0.05, 0.05) and (0.03, 0.03), k = 1.2), so ~0.6 GB here
-_MAX_NODES = 10_000_000
 
 
 @dataclass
@@ -81,13 +78,6 @@ def theta_kernel(t, mu2: float):
     t = np.asarray(t, dtype=float)
     out = np.where(t >= 0.0, np.exp(mu2 * np.where(t >= 0.0, t, 0.0)), 0.0)
     return out[()] if out.ndim == 0 else out
-
-
-def _check_nodes(name: str, span: float, dt: float) -> None:
-    """DomainError when a grid of step dt over span would exceed _MAX_NODES."""
-    if not span <= _MAX_NODES * dt:
-        raise DomainError(f"the {name} grid of step {dt:.3g} over {span:.4g} would exceed "
-                          f"{_MAX_NODES:.0e} nodes; use a larger step or a shorter t_max")
 
 
 def _require_region(c: float, h: float, params: ModelParams) -> chareq.RootsAtKappa:

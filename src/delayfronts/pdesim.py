@@ -216,9 +216,6 @@ def init_cauchy(config: SimConfig) -> SimState:
 # less time than 16 and as much memory; 64 saved nothing more and added
 # ~0.8 MB of peak RSS
 _BLOCK = 32
-# levels per page of run()'s crossing cells, (i, lo, hi) in the 3 float rows
-# of a page: 24 KB pages, a whole number of blocks
-_PAGE = 32 * _BLOCK
 
 
 def _ring_runs(n_rows: int, count: int, *firsts: int):
@@ -345,21 +342,19 @@ def run(config: SimConfig) -> SimResult:
 
     _march takes the steps a block of levels at a time and keeps only the
     cell of each level's crossing and the two values around it; the
-    trajectory is interpolated from them once, here, a page at a time,
-    after the g ring and the block are freed.  Every result equals that of
-    checking after each step.
+    trajectory is interpolated from them once, here, after the g ring and
+    the block are freed.  Every result equals that of checking after each
+    step.
     """
     if not config.bc_left < _LEVEL:
         raise DomainError(f"run() needs bc_left < {_LEVEL}, the tracked level, got {config.bc_left}")
-    x, snapshots, pages, u_min, u_max, n_done = _march(config)
-    pieces = []
-    for p, page in enumerate(pages):
-        page = page[:, : n_done - p * _PAGE]  # the last page is filled up to level n_done
-        found = np.flatnonzero(page[2] >= _LEVEL)  # level p _PAGE + found + 1 crosses
-        i = page[0, found].astype(np.intp)
-        pieces.append(np.column_stack([(p * _PAGE + found + 1) * config.dt,
-                                       _interpolate(x, i, page[1, found], page[2, found], _LEVEL)]))
-    traj = np.concatenate(pieces) if pieces else np.empty((0, 2))
+    x, snapshots, cells, u_min, u_max, n_done = _march(config)
+    i, lo, hi = np.concatenate(cells, axis=1)
+    del cells
+    found = np.flatnonzero(hi >= _LEVEL)  # level found + 1 crosses
+    # the record goes before _interpolate's temporaries come: ~73 bytes a level, not ~125
+    i, lo, hi = i[found].astype(np.intp), lo[found], hi[found]
+    traj = np.column_stack([(found + 1) * config.dt, _interpolate(x, i, lo, hi, _LEVEL)])
     c_ns, residual, window = _fit(traj)
     return SimResult(
         snapshots=snapshots,
@@ -374,10 +369,11 @@ def run(config: SimConfig) -> SimResult:
 
 
 def _march(config: SimConfig):
-    """run()'s steps: (x, snapshots, pages, u_min, u_max, steps done), the
-    rows of the pages holding i, lo and hi of _level_cells for levels 1,
-    2, ..., _PAGE levels a page; a level crosses where hi >= 1.  Pages are
-    added as the steps go, so their memory grows with the steps taken.
+    """run()'s steps: (x, snapshots, cells, u_min, u_max, steps done),
+    cells a list of 3-row float arrays, one per block after an empty first
+    one, whose columns hold i, lo and hi of _level_cells for levels 1, 2,
+    ... in order; a level crosses where hi >= 1.  The list grows with the
+    steps taken.
 
     The levels of up to _BLOCK steps are kept, and everything but the steps
     themselves is done on the block: finiteness, extrema, the cells of the
@@ -398,7 +394,7 @@ def _march(config: SimConfig):
     dt, chunk = config.dt, min(max(config.delay_steps, 1), _BLOCK)
     snap_steps = sorted({int(round(ts / config.dt)) for ts in config.snapshot_times})
     snapshots = [(0.0, u)] if 0 in snap_steps else []
-    pages = []
+    cells = [np.empty((3, 0))]  # so that a run of no step concatenates
     n_steps = int(round(config.t_end / config.dt))
     u_min, u_max = float(u.min()), float(u.max())
     wall = config.x_min + _STOP_MARGIN
@@ -438,14 +434,11 @@ def _march(config: SimConfig):
             for n in snap_steps[bisect.bisect_right(snap_steps, n0):
                                 bisect.bisect_right(snap_steps, n0 + done)]:
                 snapshots.append((n * dt, block[n - n0 - 1].copy()))
-            if n0 % _PAGE == 0:
-                pages.append(np.empty((3, _PAGE)))
-            page, cols = pages[-1], slice(n0 % _PAGE, n0 % _PAGE + done)
-            page[:, cols] = i[:done], lo[:done], hi[:done]
+            cells.append(np.array((i[:done], lo[:done], hi[:done])))
             n0 += done
             if len(hit):
                 break
-    return x, snapshots, pages, u_min, u_max, n0
+    return x, snapshots, cells, u_min, u_max, n0
 
 
 def _fit(traj: np.ndarray):

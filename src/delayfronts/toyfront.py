@@ -293,6 +293,20 @@ def _stop_time(mu1: float) -> float:
     return np.log(_UNSTABLE_TOL / _EPS) / mu1
 
 
+# psi, N and profile grids are refused above this many nodes, before
+# allocation: peak memory measured 32 bytes per psi node and 53-56 per N node
+# (1.3-7.2 million nodes at (c, h) = (0.05, 0.05) and (0.03, 0.03), k = 1.2)
+# and 140 per profile node (0.1-0.5 million at c = 1, h = 0.5), so <= 1.4 GB
+_MAX_NODES = 10_000_000
+
+
+def _check_nodes(name: str, span: float, dt: float) -> None:
+    """DomainError when a grid of step dt over span would exceed _MAX_NODES."""
+    if not span <= _MAX_NODES * dt:
+        raise DomainError(f"the {name} grid of step {dt:.3g} over {span:.4g} would exceed "
+                          f"{_MAX_NODES:.0e} nodes; use a larger step or a shorter t_max")
+
+
 def _check_positive(**values):
     """DomainError unless each value is None or > 0 (NaN is refused too)."""
     for name, x in values.items():
@@ -335,6 +349,7 @@ def build_profile(
                           "where round-off alone fails the residual check")
     if t_max is not None:
         T_stop = min(T_stop, t_max)
+    _check_nodes("profile", T_stop + 2.0 * ch, dt)  # t and the 2m + 1 history half-steps
     n = max(int(np.ceil(T_stop / dt)), 8)
     t = dt * np.arange(n + 1)
 

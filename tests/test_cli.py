@@ -362,6 +362,15 @@ class TestCsvBytes:
          "cc744d08e04684f808a1b6a0865c677d4a82a975b72f9e8ece39e5c4fa270424"),
         (["table", "--k", "1.2", "--rows", "0.5,-1"], "table.csv",  # an error row
          "86515412e052aaf52b9164da8cc49f37e59fb667c3a799bec764d0e55470be0a"),
+        # the simulator's last bits, which run() and cn_step() could move together
+        *[(["simulate", "--k", "1.2", "--h", "0.5", "--snapshots", "0,20"], name, sha256)
+          for name, sha256 in [
+              ("trajectory.csv",
+               "90817ea707306e0272d463c7131cc8f3186db6dd592e77173799892317eb262a"),
+              ("snapshot_t20.csv",
+               "a795cfe6008d18391fb7149031971f7b96eac6e6079a3aad8830315089b664ca"),
+              ("snapshot_t0.csv",
+               "9b4dc8bc9cfd7012e16a9e6328e93d93ead934b598612dedce43a21ea836ec76")]],
     ])
     def test_mixed_columns_keep_their_bytes(self, tmp_path, argv, name, sha256):
         # digests of the files as the per-cell string-joining writer wrote them
@@ -689,7 +698,10 @@ class TestExitCodes:
         assert "below" in capsys.readouterr().err
 
     def test_invalid_k_is_domain_error(self, capsys):
-        assert main(["toy", "--k", "3.5"]) == 1
+        # below 3.5, toy said "double_root_speed needs slope > 1"
+        for k in ("0.5", "1", "nan", "3.5"):
+            assert main(["toy", "--k", k]) == 1
+            assert "k must lie in (1, 3), got" in capsys.readouterr().err, k
 
     def test_transitions_of_an_always_pulled_k_is_domain_error(self, capsys):
         assert main(["toy", "--k", "1.7", "--transitions"]) == 1
@@ -705,12 +717,13 @@ class TestExitCodes:
         assert not out.exists()
 
     # these raised scipy's ValueError, numpy's MemoryError (237 TiB) and
-    # numpy's "Maximum allowed size exceeded"; all are refused before any
-    # large allocation
+    # numpy's "Maximum allowed size exceeded", and the profile's 2e7-node
+    # history exited 2 after ~2 s; all are refused before any large allocation
     @pytest.mark.parametrize("argv", [
         ["roots", "--c", "1e300", "--h", "1"],
         ["kernel", "--c", "1e-5", "--h", "1e-5"],
         ["simulate", "--h", "0.5", "--dx", "1e-300"],
+        ["profile", "--h", "0.5", "--c", "2e4"],
     ])
     def test_overflowing_input_is_domain_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -353,22 +353,32 @@ class TestRun:
 
 
 def test_run_holds_no_block_sized_temporaries():
-    """Beyond its g ring and its block of levels, run() holds ~110 KB at its
-    traced peak at h = 2: the grid, the factors, the step row and one page
-    of crossing cells.  A block-sized temporary (250 KB) would show: g of a
-    chunk before it entered the ring and the gathered ring rows where the
-    delayed sources wrap took ~555 KB."""
-    cfg = SimConfig(h=2.0, k=1.2, t_end=5.0)
-    run(cfg)  # the first run maps the BLAS wrapper
-    tracemalloc.start()
-    try:
-        run(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    ring = (cfg.delay_steps + 1) * cfg.n_points * 8
-    block = pdesim._BLOCK * cfg.n_points * 8
-    assert peak - ring - block < 200_000
+    """Beyond its g ring and its block of levels, run() holds ~90 KB at its
+    traced peak at h = 2, t_end = 5 (500 steps): the grid, the factors, the
+    step row and the crossing cells, ~28 bytes a level.  A block-sized
+    temporary (250 KB) would show: g of a chunk before it entered the ring
+    and the gathered ring rows where the delayed sources wrap took ~555 KB.
+    The run at h = 0.5 stops at the wall after 3,196 steps (~167 KB): a
+    record of crossing cells sized for t_end/dt, 40,000 levels, would add
+    ~960 KB."""
+    for cfg in (SimConfig(h=2.0, k=1.2, t_end=5.0), SimConfig(h=0.5, k=1.2, t_end=400.0)):
+        run(cfg)  # the first run maps the BLAS wrapper
+        tracemalloc.start()
+        try:
+            steps = round(run(cfg).t_final / cfg.dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ring = (cfg.delay_steps + 1) * cfg.n_points * 8
+        block = pdesim._BLOCK * cfg.n_points * 8
+        assert peak - ring - block < 110_000 + 40 * steps, steps
+
+
+def test_run_of_no_step_has_too_little_data():
+    # t_end/dt rounds to 0: the empty crossing record concatenates, and the
+    # fit refuses its empty trajectory
+    with pytest.raises(DomainError, match="insufficient data"):
+        run(SimConfig(h=0.5, k=1.2, t_end=0.004))
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 7, 51])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -562,6 +564,18 @@ class TestBuildProfile:
         c, _ = minimal_speed(h, 1.2)
         with pytest.raises(DomainError, match="below"):
             build_profile(c, h, 1.2, grid_step=grid_step)
+
+    def test_long_delay_window_refused_before_allocating(self):
+        # c h = 1e4 at step 1e-3: 2e7 history half-steps and weights, ~0.8 GB
+        # allocated before the profile was found not finite
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="profile grid .* would exceed"):
+                build_profile(2e4, 0.5, 1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_roundoff_failure_asks_for_a_larger_step(self):
         # t_max cuts the window, so the step is above its floor; the residual,
