@@ -24,6 +24,15 @@ runs over whole rows, which numpy does faster than over strided interior
 views, and allocates no block-sized temporaries: g goes straight into the
 ring, and the crossings are interpolated once, at the end of the run.
 
+The g ring (601 x 1,001 floats, 4.8 MB at h = 6, the largest buffer) is an
+anonymous mapping of its own, out of the malloc heap.  glibc raises its
+mmap threshold each time a mapped block is freed, so a malloc'd ring came
+from the brk heap from the second run on, where a freed ring could stay
+resident under smaller blocks allocated after it: the 12 runs of
+`table --k 1.2` peaked at 49.9 or 53.7 MB of RSS as the heap fell, and
+at 49.2-49.7 MB with the mapping.  Its fresh pages cost those runs ~7,650
+page faults, ~20 ms in init_cauchy, and their wall time rose 2-4%.
+
 The LAPACK and BLAS kernels come from scipy's compiled wrappers, loaded by
 _kernels on the first init_cauchy() or step, not at import: commands that
 never simulate do not map them.
@@ -56,8 +65,8 @@ __all__ = [
 
 _LEVEL = 1.0  # the tracked level, kappa/2
 _STOP_MARGIN = 5.0  # run() stops once the level is this close to x_min
-# SimConfig refuses grids whose g ring and block of levels, max(h/dt, _BLOCK)
-# + 1 rows of n_points floats, would hold more cells than this (400 MB)
+# SimConfig refuses grids whose g ring and block of levels, max(h/dt, 1) + 1
+# and _BLOCK rows of n_points floats, would hold more cells than this (400 MB)
 _MAX_CELLS = 50_000_000
 
 
@@ -125,7 +134,7 @@ class SimConfig:
                 and min(self.dx, self.dt, self.t_end) > 0.0):
             raise DomainError("finite grid with h >= 0 and dx, dt, t_end > 0 required")
         m, nx = self.h / self.dt, (self.x_max - self.x_min) / self.dx
-        if not (max(m, _BLOCK) + 1) * (abs(nx) + 1) <= _MAX_CELLS:
+        if not (max(m, 1) + 1 + _BLOCK) * (abs(nx) + 1) <= _MAX_CELLS:
             raise DomainError(f"a grid of h/dt = {m:.3g} delay steps and {nx:.3g} cells "
                               f"would exceed {_MAX_CELLS:.0e} stored values")
         if abs(m - round(m)) > 1e-9:
@@ -158,8 +167,11 @@ class SimState:
     """Mutable integration state; single-threaded use only.
 
     history is the ring of source levels g(u^n), level n in row
-    n % len(history); it holds h/dt + 1 rows (two at h = 0).  factor holds
-    the pttrf factors (d, e) of the interior Crank-Nicolson matrix.
+    n % len(history); it holds h/dt + 1 rows (two at h = 0).  It views an
+    anonymous mmap, unmapped once freed, where a malloc'd ring could stay
+    resident in the heap after its run (~4 MB of `table`'s peak RSS).
+    factor holds the pttrf factors (d, e) of the interior Crank-Nicolson
+    matrix.
     """
 
     config: SimConfig
@@ -194,14 +206,18 @@ def init_cauchy(config: SimConfig) -> SimState:
     """Step-function Cauchy data (0 for x < 0, else 2) held constant over
     the delay interval.
 
-    Every row of the g(u) ring holds the source of the initial data, and the
-    state clock starts at 0.
+    Every row of the g(u) ring, a mapping of its own (see SimState), holds
+    the source of the initial data, and the state clock starts at 0.
     """
+    import mmap  # on first use, as _kernels loads LAPACK: commands that never simulate skip it
+
     x = config.x_min + config.dx * np.arange(config.n_points)
     u = np.where(x < 0.0, 0.0, 2.0)
+    rows = max(config.delay_steps, 1) + 1
+    history = np.frombuffer(mmap.mmap(-1, rows * config.n_points * 8)).reshape(rows, -1)
     # 0 and 2 are equilibria, fixed points of g, so this is also g(u); what
     # the end columns of the ring hold enters no result
-    history = np.tile(u, (max(config.delay_steps, 1) + 1, 1))
+    history[:] = u
     u[0], u[-1] = config.bc_left, config.bc_right
     r = config.dt / (2.0 * config.dx * config.dx)
     n = config.n_points - 2

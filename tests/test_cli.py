@@ -794,7 +794,8 @@ class TestImportCost:
 
     # LAPACK dpttrf/dpttrs and BLAS daxpy are loaded on the first simulation:
     # mapping scipy's wrappers at import added ~2.6 MB (LAPACK) and ~1.3 MB
-    # (BLAS) of peak RSS to commands that never simulate
+    # (BLAS) of peak RSS to commands that never simulate; so is mmap, which
+    # only the g ring uses
     def test_blas_wrapper_loads_on_the_first_run_only(self, tmp_path):
         src = Path(kernels.__file__).resolve().parent.parent
         out = str(tmp_path)
@@ -808,7 +809,9 @@ class TestImportCost:
                 "    assert delayfronts.cli.main(argv) == 0, argv\n"
                 "scipy = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
                 "assert not scipy, scipy\n"
+                "assert 'mmap' not in sys.modules\n"
                 "run(SimConfig(h=0.5, k=1.2, t_end=5.0))\n"
+                "assert 'mmap' in sys.modules\n"
                 "assert 'scipy.linalg._flapack' in sys.modules\n"
                 "assert 'scipy.linalg._fblas' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,

@@ -27,6 +27,20 @@ class TestConfigAndInit:
             for row in st.history:
                 np.testing.assert_array_equal(row[1:-1], g0)
 
+    @pytest.mark.parametrize("h", [0.0, 0.2, 0.5])
+    def test_history_ring_is_a_mapping_of_its_own(self, h):
+        # out of the malloc heap, where a freed ring could stay resident
+        import mmap
+
+        cfg = SimConfig(h=h, k=1.2, t_end=1.0)
+        history = init_cauchy(cfg).history
+        base = history
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+        assert history.flags.writeable and history.flags.c_contiguous
+        assert history.shape == (max(cfg.delay_steps, 1) + 1, cfg.n_points)
+
     def test_default_grid_has_1001_points(self):
         cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
         assert cfg.n_points == 1001
@@ -68,6 +82,12 @@ class TestConfigAndInit:
     def test_grid_over_cell_cap_rejected(self, grid):
         with pytest.raises(DomainError, match="would exceed"):
             SimConfig(h=0.5, k=1.2, t_end=1.0, **grid)
+
+    def test_cell_cap_counts_ring_and_block(self):
+        # h = 6 and 80,000 points: 601 ring rows and 32 block rows hold 50.6M
+        # cells; the ring alone (48.1M) is under the cap
+        with pytest.raises(DomainError, match="would exceed"):
+            SimConfig(h=6.0, k=1.2, t_end=1.0, x_min=-40_000.0, x_max=39_999.0, dx=1.0)
 
     # refused as input, not blamed on the integration (AccuracyError after the
     # first step); 1e308 is finite, but its term dt/dx^2 * 1e308 = 4e308 is not
@@ -353,9 +373,10 @@ class TestRun:
 
 
 def test_run_holds_no_block_sized_temporaries():
-    """Beyond its g ring and its block of levels, run() holds ~90 KB at its
-    traced peak at h = 2, t_end = 5 (500 steps): the grid, the factors, the
-    step row and the crossing cells, ~28 bytes a level.  A block-sized
+    """Beyond its block of levels, run() holds ~90 KB at its traced peak at
+    h = 2, t_end = 5 (500 steps): the grid, the factors, the step row and
+    the crossing cells, ~28 bytes a level.  The g ring is a mapping of its
+    own, which tracemalloc does not see.  A block-sized
     temporary (250 KB) would show: g of a chunk before it entered the ring
     and the gathered ring rows where the delayed sources wrap took ~555 KB.
     The run at h = 0.5 stops at the wall after 3,196 steps (~167 KB): a
@@ -369,9 +390,8 @@ def test_run_holds_no_block_sized_temporaries():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        ring = (cfg.delay_steps + 1) * cfg.n_points * 8
         block = pdesim._BLOCK * cfg.n_points * 8
-        assert peak - ring - block < 110_000 + 40 * steps, steps
+        assert peak - block < 110_000 + 40 * steps, steps
 
 
 def test_run_of_no_step_has_too_little_data():
