@@ -31,7 +31,8 @@ from the brk heap from the second run on, where a freed ring could stay
 resident under smaller blocks allocated after it: the 12 runs of
 `table --k 1.2` peaked at 49.9 or 53.7 MB of RSS as the heap fell, and
 at 49.2-49.7 MB with the mapping.  Its fresh pages cost those runs ~7,650
-page faults, ~20 ms in init_cauchy, and their wall time rose 2-4%.
+page faults, ~20 ms in init_cauchy; their wall time rose 2-7%, the rest
+following where the heap now places the step arrays.
 
 The LAPACK and BLAS kernels come from scipy's compiled wrappers, loaded by
 _kernels on the first init_cauchy() or step, not at import: commands that

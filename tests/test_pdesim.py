@@ -37,7 +37,7 @@ class TestConfigAndInit:
         base = history
         while isinstance(base, np.ndarray):
             base = base.base
-        assert isinstance(base.obj if isinstance(base, memoryview) else base, mmap.mmap)
+        assert isinstance(base.obj, mmap.mmap)  # np.frombuffer keeps a memoryview
         assert history.flags.writeable and history.flags.c_contiguous
         assert history.shape == (max(cfg.delay_steps, 1) + 1, cfg.n_points)
 
@@ -77,17 +77,15 @@ class TestConfigAndInit:
         assert st.u.shape == (4,) and np.all(np.isfinite(st.u))
 
     # dx = 1e-300 passed here and made numpy raise ValueError in init_cauchy;
-    # dt = 5e-324 raised OverflowError from round(h/dt)
-    @pytest.mark.parametrize("grid", [dict(dx=1e-300), dict(dt=5e-324)])
+    # dt = 5e-324 raised OverflowError from round(h/dt); at h = 6, 80,000
+    # points in 601 ring rows and 32 block rows are 50.6M cells, the ring
+    # alone 48.1M
+    @pytest.mark.parametrize("grid", [
+        dict(dx=1e-300), dict(dt=5e-324),
+        dict(h=6.0, x_min=-40_000.0, x_max=39_999.0, dx=1.0)])
     def test_grid_over_cell_cap_rejected(self, grid):
         with pytest.raises(DomainError, match="would exceed"):
-            SimConfig(h=0.5, k=1.2, t_end=1.0, **grid)
-
-    def test_cell_cap_counts_ring_and_block(self):
-        # h = 6 and 80,000 points: 601 ring rows and 32 block rows hold 50.6M
-        # cells; the ring alone (48.1M) is under the cap
-        with pytest.raises(DomainError, match="would exceed"):
-            SimConfig(h=6.0, k=1.2, t_end=1.0, x_min=-40_000.0, x_max=39_999.0, dx=1.0)
+            SimConfig(**{"h": 0.5, "k": 1.2, "t_end": 1.0, **grid})
 
     # refused as input, not blamed on the integration (AccuracyError after the
     # first step); 1e308 is finite, but its term dt/dx^2 * 1e308 = 4e308 is not
