@@ -340,7 +340,7 @@ def _table_row(h: float, k: float, t_end: float) -> tuple:
 
 def _cmd_table(args) -> dict:
     rows = _floats(args.rows, "--rows")
-    ModelParams.toy(args.k)  # one bad k would fail every row
+    pdesim.SimConfig(h=0.0, k=args.k, t_end=args.t_end)  # a bad k or t_end would fail every row
     results = [_table_row(h, args.k, args.t_end) for h in rows]
     return {"table.csv": ("h,c_sharp,c_star,c_ns", *zip(*results))}
 
@@ -388,7 +388,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("kernel", help="fundamental-solution grids psi, theta, N")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=float, required=True,
+                   help="checked, but changes no file: psi, theta and N use only g'(kappa) = -1")
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--t-max", type=float, default=None)

@@ -4,14 +4,15 @@ Crank-Nicolson in time and second-order central differences in space for
 
     u_t = u_xx - u + g(u(t - h, x)),
 
-with the piecewise-linear birth law, exact Dirichlet values at both ends,
-and the delayed source read from a ring of stored g(u) levels.  The
-interior Crank-Nicolson matrices satisfy A + B = 2I, so each step solves
-A (u^{n+1} + u^n) = 2 u^n + f by one LAPACK pttrs on A (factored once by
-pttrf) and subtracts u^n; f, dt times the delayed source with the
-Dirichlet terms 2r bc at its ends, comes a chunk of steps at a time.  The
-front is the leftmost crossing of u = 1 = kappa/2 from below (run() needs
-bc_left < 1), its speed fitted on the trailing half of the trajectory.
+with the piecewise-linear birth law, exact Dirichlet values at both ends
+(the ends of the state's u, which init_cauchy pins to the equilibria 0 and
+2 and no step changes), and the delayed source read from a ring of stored
+g(u) levels.  The interior Crank-Nicolson matrices satisfy A + B = 2I, so
+each step solves A (u^{n+1} + u^n) = 2 u^n + f by one LAPACK pttrs on A
+(factored once by pttrf) and subtracts u^n; f, dt times the delayed source
+with the Dirichlet terms 2r bc at its ends, comes a chunk of steps at a
+time.  The front is the leftmost crossing of u = 1 = kappa/2 from below
+(u = 0 at x_min), its speed fitted on the trailing half of the trajectory.
 
 One loop, _steps, takes the steps for run() and cn_step() alike: per
 step two BLAS daxpy calls (+ 2 u^n, - u^n) and the solve, on a row that
@@ -109,10 +110,9 @@ class SimConfig:
     """The problem, its grid and the snapshot times of one run.
 
     Defaults reproduce the reference discretization: domain [-25, 25],
-    dx = 0.05, dt = 0.01, Dirichlet values 0 and 2.
-    h/dt and (x_max - x_min)/dx must be integers, the latter at least 3.
-    The Dirichlet values and their terms dt/dx^2 bc must be finite; run()
-    also needs bc_left below the tracked level 1.
+    dx = 0.05, dt = 0.01 (the Dirichlet values are the ends of the state's u).
+    h/dt and (x_max - x_min)/dx must be integers, the latter at least 3,
+    and the right end's Dirichlet term dt/dx^2 * 2 must be finite.
     The step of the Cauchy data sits at x = 0; snapshot_times, within
     [0, t_end], request copies of the field.
     """
@@ -124,8 +124,6 @@ class SimConfig:
     x_max: float = 25.0
     dx: float = 0.05
     dt: float = 0.01
-    bc_left: float = 0.0
-    bc_right: float = 2.0
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -146,13 +144,10 @@ class SimConfig:
             raise DomainError(f"x_max - x_min must span at least 3 cells, got {round(nx)}")
         if not all(0.0 <= ts <= self.t_end for ts in self.snapshot_times):
             raise DomainError(f"snapshot_times must lie in [0, t_end = {self.t_end}]")
-        for name in ("bc_left", "bc_right"):
-            bc = getattr(self, name)
-            # the Dirichlet term 2r bc of each step's right-hand side, as
-            # _delayed_sources computes it: not finite for a NaN or infinite bc
-            if not math.isfinite(self.dt / (self.dx * self.dx) * bc):
-                raise DomainError(f"{name} = {bc} and its Dirichlet term dt/dx^2 * {name} "
-                                  f"must be finite")
+        # the term 2r u[-1] at init_cauchy's right end 2, as _delayed_sources computes it
+        if not math.isfinite(self.dt / (self.dx * self.dx) * 2.0):
+            raise DomainError(f"the right end's Dirichlet term dt/dx^2 * 2 must be finite, "
+                              f"got dt = {self.dt}, dx = {self.dx}")
 
     @property
     def delay_steps(self) -> int:
@@ -167,6 +162,7 @@ class SimConfig:
 class SimState:
     """Mutable integration state; single-threaded use only.
 
+    The ends of u are the Dirichlet values, which no step changes.
     history is the ring of source levels g(u^n), level n in row
     n % len(history); it holds h/dt + 1 rows (two at h = 0).  It views an
     anonymous mmap, unmapped once freed, where a malloc'd ring could stay
@@ -205,7 +201,8 @@ class SimResult:
 
 def init_cauchy(config: SimConfig) -> SimState:
     """Step-function Cauchy data (0 for x < 0, else 2) held constant over
-    the delay interval.
+    the delay interval, the ends of u pinned to the equilibria 0 and 2 even
+    where the domain lies on one side of the step.
 
     Every row of the g(u) ring, a mapping of its own (see SimState), holds
     the source of the initial data, and the state clock starts at 0.
@@ -219,7 +216,7 @@ def init_cauchy(config: SimConfig) -> SimState:
     # 0 and 2 are equilibria, fixed points of g, so this is also g(u); what
     # the end columns of the ring hold enters no result
     history[:] = u
-    u[0], u[-1] = config.bc_left, config.bc_right
+    u[0], u[-1] = 0.0, 2.0
     r = config.dt / (2.0 * config.dx * config.dx)
     n = config.n_points - 2
     dpttrf, _, _ = _kernels()
@@ -252,8 +249,9 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
     """The right-hand side but 2 u^n of steps first, first + 1, ..., written
     into the interior of a whole row of out each: dt times the delayed
     source plus the Dirichlet terms 2r bc in its first and last entries.
-    The end columns of out get the Dirichlet values.  The ring must hold
-    every level they read.
+    The end columns of out get the Dirichlet values, the ends of state.u: no
+    step changes them, so _march's initial u serves its whole run.  The ring
+    must hold every level they read.
 
     The arithmetic runs over whole ring rows, contiguous in memory: over 32
     rows numpy adds them ~5x and scales them ~4x faster than their strided
@@ -262,6 +260,7 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
     added in place, with no gathered copies.
     """
     cfg, g, count = state.config, state.history, len(out)
+    left, right = state.u[0], state.u[-1]
     m = cfg.delay_steps
     if m >= 1:
         for j0, j1, (a, b) in _ring_runs(len(g), count, first - m, first - m + 1):
@@ -271,9 +270,9 @@ def _delayed_sources(state: SimState, first: int, out: np.ndarray) -> None:
         for j0, j1, (a, b) in _ring_runs(len(g), count, first, first - 1):
             np.subtract(1.5 * g[a], 0.5 * g[b], out=out[j0:j1])
         out *= cfg.dt
-    out[:, 1] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_left  # 2r bc, r = dt/(2 dx^2)
-    out[:, -2] += cfg.dt / (cfg.dx * cfg.dx) * cfg.bc_right
-    out[:, 0], out[:, -1] = cfg.bc_left, cfg.bc_right
+    out[:, 1] += cfg.dt / (cfg.dx * cfg.dx) * left  # 2r bc, r = dt/(2 dx^2)
+    out[:, -2] += cfg.dt / (cfg.dx * cfg.dx) * right
+    out[:, 0], out[:, -1] = left, right
 
 
 def _steps(u: np.ndarray, levels: np.ndarray, factor: tuple[np.ndarray, np.ndarray]) -> None:
@@ -309,10 +308,10 @@ def cn_step(state: SimState) -> SimState:
     known, so a two-step extrapolation 1.5 g(u^n) - 0.5 g(u^{n-1}) stands in
     (still second order; on the first step both levels are the Cauchy data).
     _delayed_sources writes the right-hand side into the new level's interior
-    and the exact Dirichlet values into its end nodes, and _steps takes the
-    step there.  A non-finite new level raises AccuracyError, and g of the
-    new level is evaluated once, straight into the ring row no longer
-    needed.
+    and the ends of state.u, the Dirichlet values, into its end nodes, and
+    _steps takes the step there.  A non-finite new level raises
+    AccuracyError, and g of the new level is evaluated once, straight into
+    the ring row no longer needed.
     run() takes the same steps through _steps, a block of levels at a time.
     """
     cfg, n = state.config, state.step_count
@@ -330,9 +329,9 @@ def cn_step(state: SimState) -> SimState:
 def _level_cells(u: np.ndarray, level: float):
     """The cell i of the leftmost crossing of u = level in each row of u and
     the values lo = u[i] and hi = u[i + 1] around it, for finite rows whose
-    first value lies below the level: i + 1 is the first node not below it,
-    and a row crosses exactly where hi >= level (a row all below takes cell
-    0).  _interpolate places the crossing.
+    first value lies below the level (run()'s rows start at 0): i + 1 is the
+    first node not below it, and a row crosses exactly where hi >= level (a
+    row all below takes cell 0).  _interpolate places the crossing.
     """
     i = np.maximum((u < level).argmin(axis=1) - 1, 0)  # whole rows: faster than the [:, 1:] view
     rows = np.arange(len(u))
@@ -354,8 +353,8 @@ def run(config: SimConfig) -> SimResult:
     stops early once the crossing comes within _STOP_MARGIN of x_min so the
     Dirichlet wall cannot contaminate the speed fit on its trailing half.
     Snapshots are taken at the requested times (rounded to the step grid)
-    up to t_final.  The level is crossed from below, so bc_left, u at
-    x_min, must lie below 1: DomainError refuses it before any step.
+    up to t_final.  The level is crossed from below: u at x_min is 0, as
+    init_cauchy pins it.
 
     _march takes the steps a block of levels at a time and keeps only the
     cell of each level's crossing and the two values around it; the
@@ -363,8 +362,6 @@ def run(config: SimConfig) -> SimResult:
     the block are freed.  Every result equals that of checking after each
     step.
     """
-    if not config.bc_left < _LEVEL:
-        raise DomainError(f"run() needs bc_left < {_LEVEL}, the tracked level, got {config.bc_left}")
     x, snapshots, cells, u_min, u_max, n_done = _march(config)
     i, lo, hi = np.concatenate(cells, axis=1)
     del cells

@@ -666,10 +666,11 @@ class TestExitCodes:
         (["curves", "--k", "1.2", "--h-min", "-1", "--h-max", "-0.9"],
          "delays must be nonnegative"),
         (["table", "--k", "5", "--rows", "0.5"], "k must lie in (1, 3)"),
+        (["table", "--k", "1.2", "--rows", "0.5", "--t-end", "nan"], "finite grid"),
         (["profile", "--k", "1.2", "--c", "0.1", "--h", "0.5"], "below the linear speed"),
         (["simulate", "--k", "1.2", "--h", "0.5", "--x-min", "25", "--x-max", "-25"],
          "must span at least 3 cells"),
-    ], ids=["curves", "table", "profile", "simulate"])
+    ], ids=["curves", "table", "table_t_end", "profile", "simulate"])
     def test_failing_command_leaves_no_output_directory(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1

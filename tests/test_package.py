@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -53,6 +54,13 @@ def test_every_export_resolves(module):
 @pytest.mark.parametrize("module", list(PUBLIC))
 def test_public_names_are_pinned(module):
     assert importlib.import_module(module).__all__ == PUBLIC[module]
+
+
+# SimConfig's settable fields: a new knob takes a deliberate edit here.  The
+# Dirichlet values are not among them; they are the ends of the state's u.
+def test_sim_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "h", "k", "t_end", "x_min", "x_max", "dx", "dt", "snapshot_times"]
 
 
 @pytest.mark.parametrize("k", [1.0, 3.0, math.nan])

@@ -87,26 +87,18 @@ class TestConfigAndInit:
         with pytest.raises(DomainError, match="would exceed"):
             SimConfig(**{"h": 0.5, "k": 1.2, "t_end": 1.0, **grid})
 
-    # refused as input, not blamed on the integration (AccuracyError after the
-    # first step); 1e308 is finite, but its term dt/dx^2 * 1e308 = 4e308 is not
-    @pytest.mark.parametrize("name", ["bc_left", "bc_right"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e308, -1e308])
-    def test_non_finite_dirichlet_value_rejected(self, name, value):
-        with pytest.raises(DomainError, match=f"{name} = .* must be finite"):
-            SimConfig(h=0.5, k=1.2, t_end=1.0, **{name: value})
-
-    @pytest.mark.parametrize("name", ["bc_left", "bc_right"])
-    def test_dirichlet_value_with_a_finite_term_accepted(self, name):
-        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, **{name: 1e307})  # the term is 4e307
-        assert getattr(cfg, name) == 1e307
-
-    @pytest.mark.parametrize("name", ["h", "t_end", "x_min", "x_max", "dx", "dt"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_grid_rejected(self, name, value):
-        kwargs = dict(h=0.5, k=1.2, t_end=1.0)
-        kwargs[name] = value
-        with pytest.raises(DomainError, match="finite"):
-            SimConfig(**kwargs)
+    # a non-finite grid value, and dt = 1e307: finite, but the right end's
+    # Dirichlet term dt/dx^2 * 2 = 8e309 is not, and is refused as input, not
+    # blamed on the integration (AccuracyError after the first step)
+    @pytest.mark.parametrize("name, value, message", [
+        *(pytest.param(name, value, "finite grid", id=f"{value}-{name}")
+          for value in (float("nan"), float("inf"))
+          for name in ("h", "t_end", "x_min", "x_max", "dx", "dt")),
+        pytest.param("dt", 1e307, r"Dirichlet term dt/dx\^2 \* 2 must be finite", id="1e+307-dt"),
+    ])
+    def test_non_finite_grid_rejected(self, name, value, message):
+        with pytest.raises(DomainError, match=message):
+            SimConfig(**{"h": 0.5, "k": 1.2, "t_end": 1.0, name: value})
 
 
 def test_path_loaded_lapack_matches_scipy_linalg():
@@ -173,8 +165,9 @@ def test_blas_falls_back_to_scipy_linalg_without_the_wrapper_file(monkeypatch):
 
 
 class TestCnStep:
+    # the ends of st.u are the Dirichlet values: setting u sets them
     def test_zero_equilibrium_is_stationary(self):
-        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_right=0.0)
+        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
         st = init_cauchy(cfg)
         st.u = np.zeros_like(st.u)
         st.history[:] = birth_rate(st.u, cfg.k)
@@ -182,7 +175,7 @@ class TestCnStep:
         assert np.abs(st.u).max() == 0.0
 
     def test_upper_equilibrium_is_stationary(self):
-        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0, bc_left=2.0)
+        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
         st = init_cauchy(cfg)
         st.u = np.full_like(st.u, 2.0)
         st.history[:] = birth_rate(st.u, cfg.k)
@@ -190,18 +183,21 @@ class TestCnStep:
         np.testing.assert_allclose(st.u, 2.0, atol=1e-13)
 
     def test_dirichlet_values_exact_after_every_step(self):
-        cfg = SimConfig(h=0.5, k=1.2, t_end=1.0)
-        st = init_cauchy(cfg)
-        assert st.u[0] == cfg.bc_left and st.u[-1] == cfg.bc_right
-        for _ in range(100):
-            cn_step(st)
-            assert st.u[0] == cfg.bc_left and st.u[-1] == cfg.bc_right
+        # init_cauchy's equilibria, and ends a caller sets, kept exactly
+        for ends in ((0.0, 2.0), (0.5, 1.5)):
+            st = init_cauchy(SimConfig(h=0.5, k=1.2, t_end=1.0))
+            assert (st.u[0], st.u[-1]) == (0.0, 2.0)
+            st.u[0], st.u[-1] = ends
+            for _ in range(100):
+                cn_step(st)
+                assert (st.u[0], st.u[-1]) == ends
 
-    @pytest.mark.parametrize("bc_left, bc_right", [(0.0, 2.0), (0.5, 2.0), (2.0, 0.1)])
+    @pytest.mark.parametrize("left, right", [(0.0, 2.0), (0.5, 2.0), (2.0, 0.1)])
     @pytest.mark.parametrize("h", [0.0, 0.5])
-    def test_single_step_matches_dense_solve(self, h, bc_left, bc_right):
-        cfg = SimConfig(h=h, k=1.2, t_end=1.0, bc_left=bc_left, bc_right=bc_right)
+    def test_single_step_matches_dense_solve(self, h, left, right):
+        cfg = SimConfig(h=h, k=1.2, t_end=1.0)
         st = init_cauchy(cfg)
+        st.u[0], st.u[-1] = left, right
         u0 = st.u.copy()
         cn_step(st)
         # independent oracle: assemble the dense system A u' = B u + dt src
@@ -221,7 +217,7 @@ class TestCnStep:
             + r * u0[2:]
             + dt * src[1:-1]
         )
-        b[0], b[-1] = cfg.bc_left, cfg.bc_right
+        b[0], b[-1] = left, right
         expected = np.linalg.solve(A, b)
         np.testing.assert_allclose(st.u, expected, rtol=0.0, atol=1e-14)
 
@@ -336,13 +332,12 @@ class TestRun:
         fields = []
         for lev in range(3):
             f = 2**lev
-            cfg = SimConfig(
-                h=1.0, k=1.2, t_end=4.0, dx=0.05 / f, dt=0.01 / f,
-                bc_left=0.0, bc_right=0.1,
-            )
+            cfg = SimConfig(h=1.0, k=1.2, t_end=4.0, dx=0.05 / f, dt=0.01 / f)
             st = init_cauchy(cfg)
-            # tanh saturates to the boundary values within 1e-20 at |x| = 25
+            # tanh saturates within 1e-20 at |x| = 25: the ends are exactly
+            # 0.0 and 0.1, the Dirichlet values
             st.u = 0.05 + 0.05 * np.tanh(st.x)
+            assert (st.u[0], st.u[-1]) == (0.0, 0.1)
             st.history[:] = birth_rate(st.u, cfg.k)
             for _ in range(int(round(cfg.t_end / cfg.dt))):
                 cn_step(st)
@@ -414,9 +409,10 @@ def test_ring_runs_cover_the_ring_rows_in_order(n_rows):
 
 def _reference_run(cfg: SimConfig):
     """run() as a plain loop checking after every step: cn_step, then the
-    extrema, the snapshot, the level crossing and the wall test.
+    extrema, the snapshot, the level crossing and the wall test, from the
+    state of pdesim.init_cauchy (as run() starts).
     Returns (trajectory, snapshots, u_min, u_max, t_final)."""
-    st = init_cauchy(cfg)
+    st = pdesim.init_cauchy(cfg)
     snap_steps = {round(ts / cfg.dt) for ts in cfg.snapshot_times}
     snapshots = [(0.0, st.u.copy())] if 0 in snap_steps else []
     traj = []
@@ -466,7 +462,8 @@ def _bad_from(level: int, value: float):
 class TestBlockedRun:
     # block ends (every 32 levels) meet neither h/dt, nor t_end/dt, nor the wall
     # stop; chunks of 7 and 20 steps do not divide a block; the last two runs
-    # hold non-default Dirichlet values, which _delayed_sources writes per chunk
+    # start from a state whose ends, the Dirichlet values, are not 0 and 2:
+    # _delayed_sources writes them per chunk from the state's initial u
     @pytest.mark.parametrize("kwargs", [
         dict(h=0.0, t_end=60.0),
         dict(h=0.01, t_end=60.0),
@@ -475,10 +472,19 @@ class TestBlockedRun:
         dict(h=1.37, t_end=100.0, snapshot_times=(10.0, 95.0)),
         dict(h=2.0, t_end=30.03),
         dict(h=0.2, t_end=60.0),
-        dict(h=0.5, t_end=60.0, bc_left=0.25, bc_right=1.75, snapshot_times=(0.0, 12.34)),
-        dict(h=0.0, t_end=40.01, bc_left=-0.2, bc_right=1.9, snapshot_times=(3.33, 19.99)),
+        dict(h=0.5, t_end=60.0, ends=(0.25, 1.75), snapshot_times=(0.0, 12.34)),
+        dict(h=0.0, t_end=40.01, ends=(-0.2, 1.9), snapshot_times=(3.33, 19.99)),
     ])
-    def test_run_equals_a_check_after_every_step(self, kwargs):
+    def test_run_equals_a_check_after_every_step(self, kwargs, monkeypatch):
+        kwargs = dict(kwargs)
+        ends = kwargs.pop("ends", None)
+        if ends:
+            def init_with_ends(config):
+                st = init_cauchy(config)
+                st.u[0], st.u[-1] = ends
+                return st
+
+            monkeypatch.setattr(pdesim, "init_cauchy", init_with_ends)
         cfg = SimConfig(k=1.2, **kwargs)
         n_steps, m = round(cfg.t_end / cfg.dt), cfg.delay_steps
         assert n_steps % pdesim._BLOCK and (m <= 1 or m % pdesim._BLOCK)
@@ -580,19 +586,6 @@ class TestBlockedRun:
         want = [_crossing(x, row, 1.0) for row in u]
         assert crossed.tolist() == [w is not None for w in want]
         assert xl.tolist() == [w for w in want if w is not None]
-
-    # the tracked level is crossed from below, so run() needs u < 1 at x_min
-    @pytest.mark.parametrize("bc_left, x_min", [(1.0, -25.0), (2.0, -25.0), (1.5, 1.0)])
-    def test_bc_left_at_or_above_the_level_refused_before_any_step(self, bc_left, x_min,
-                                                                    monkeypatch):
-        cfg = SimConfig(h=0.5, k=1.2, t_end=10.0, x_min=x_min, bc_left=bc_left)
-
-        def no_steps(config):
-            raise AssertionError("init_cauchy called")
-
-        monkeypatch.setattr(pdesim, "init_cauchy", no_steps)
-        with pytest.raises(DomainError, match="bc_left"):
-            run(cfg)
 
     def test_run_restores_the_floating_point_error_state(self, monkeypatch):
         # run() ignores floating-point errors while it steps, and only then
